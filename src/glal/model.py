@@ -343,8 +343,8 @@ def load(text: str) -> KripkeModel:
     if not isinstance(data, dict):
         raise FormatError("model JSON must be an object")
     try:
-        worlds = list(data["worlds"])
-        agents = list(data["agents"])
+        worlds = _strings(data["worlds"], "worlds")
+        agents = _strings(data["agents"], "agents")
     except KeyError as exc:
         raise FormatError(f"missing key {exc.args[0]!r}") from None
     if len(set(worlds)) != len(worlds):
@@ -352,6 +352,8 @@ def load(text: str) -> KripkeModel:
     if len(set(agents)) != len(agents):
         raise FormatError("duplicate agent names")
     relations = data.get("relations", {})
+    if not isinstance(relations, dict):
+        raise FormatError("relations must be an object")
     for agent in relations:
         if agent not in agents:
             raise FormatError(f"relation for unknown agent {agent!r}")
@@ -360,14 +362,18 @@ def load(text: str) -> KripkeModel:
         if not isinstance(spec, dict) or len(spec) != 1:
             raise FormatError(f"relation of {agent!r} needs exactly one of partition/pairs")
         if "partition" in spec:
-            partitions[agent] = spec["partition"]
+            partitions[agent] = _string_lists(spec["partition"], f"partition of {agent!r}")
         elif "pairs" in spec:
-            pairs[agent] = [tuple(p) for p in spec["pairs"]]
+            pairs[agent] = _string_lists(spec["pairs"], f"pairs of {agent!r}")
+            if any(len(p) != 2 for p in pairs[agent]):
+                raise FormatError(f"each of the pairs of {agent!r} must name two worlds")
         else:
             raise FormatError(f"relation of {agent!r} needs partition or pairs")
     valuation = data.get("valuation", {})
     if not isinstance(valuation, dict):
         raise FormatError("valuation must be an object")
+    for atom, ws in valuation.items():
+        _strings(ws, f"valuation of {atom!r}")
 
     partition_model = KripkeModel.from_partitions(
         worlds, agents, partitions, valuation
@@ -390,6 +396,18 @@ def load(text: str) -> KripkeModel:
     if problems:
         raise InvalidModel(problems)
     return model
+
+
+def _strings(value, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise FormatError(f"{what} must be a list of strings")
+    return value
+
+
+def _string_lists(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise FormatError(f"{what} must be a list of lists of strings")
+    return [_strings(item, f"each entry of the {what}") for item in value]
 
 
 def save(model: KripkeModel) -> str:

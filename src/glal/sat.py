@@ -1,10 +1,19 @@
 """Desk-scale satisfiability and validity by bounded model enumeration.
 
-Models are enumerated by world count, then per-agent set partitions
-(restricted growth strings), then valuations, in a fixed lexicographic
-order; the first satisfying pointed model in that order is the witness.
-Candidates are pruned up to isomorphism by a canonical relabeling that
-sorts worlds by (valuation bit vector, partition signature).  Status is
+Models are enumerated by world count, then frames (per-agent partition
+indices into the restricted-growth-string order, lexicographically),
+then valuation tuples (one world mask per atom, lexicographically); the
+first satisfying pointed model in that order is the witness.
+
+Isomorphic candidates are pruned by orbit-minimum tests (isomorph
+rejection in the style of Read's orderly generation): a frame that some
+permutation of the worlds maps to a lexicographically smaller frame is
+skipped whole, and a valuation tuple is skipped when an automorphism of
+its frame maps it to a smaller tuple.  So exactly the least candidate of
+each isomorphism class is evaluated.  Satisfiability is invariant under
+isomorphism, so the first satisfying candidate is the least of its class:
+pruning changes neither the witness nor ``models_examined``, which counts
+every candidate up to the witness, skipped ones included.  Status is
 reported as unsat-up-to-bound, never as plain unsat.
 """
 
@@ -12,6 +21,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice, permutations, product
+from math import factorial
 
 from . import syntax as sx
 from .errors import BoundExceeded
@@ -131,20 +143,31 @@ def sat_bounded(query: SatQuery) -> SatResult:
         raise BoundExceeded(
             f"estimated {estimate} candidate models exceeds budget {query.budget}"
         )
+    top = query.max_worlds
+    entries = factorial(top) * (bell_number(top) + 2 ** top)
+    if query.prune_isomorphic and entries > query.budget:
+        raise BoundExceeded(
+            f"relabeling tables of {entries} entries for {top} worlds exceed "
+            f"budget {query.budget}"
+        )
     examined = 0
     ctx = EvalContext()
-    for n in range(1, query.max_worlds + 1):
+    for n in range(1, top + 1):
         worlds = tuple(f"s{i}" for i in range(n))
-        seen = set()
-        partition_choices = list(partitions_as_cells(n))
-        for combo in _product(partition_choices, len(agents)):
-            for vals in _product(list(range(2 ** n)), len(atoms)):
+        partitions = list(partitions_as_cells(n))
+        relabelings = _relabelings(n) if query.prune_isomorphic else ()
+        per_frame = 2 ** (n * len(atoms))
+        for frame in product(range(len(partitions)), repeat=len(agents)):
+            automorphisms = _frame_automorphisms(frame, relabelings)
+            if automorphisms is None:
+                examined += per_frame
+                continue
+            combo = tuple(partitions[k] for k in frame)
+            for vals in product(range(2 ** n), repeat=len(atoms)):
                 examined += 1
-                if query.prune_isomorphic:
-                    key = _canonical_key(n, combo, vals)
-                    if key in seen:
-                        continue
-                    seen.add(key)
+                if any(tuple(on_masks[v] for v in vals) < vals
+                       for on_masks in automorphisms):
+                    continue
                 model = _build(worlds, agents, combo, atoms, vals)
                 mask = ctx.mask(ctx.intern(model), query.formula)
                 if mask:
@@ -166,15 +189,6 @@ def valid_bounded(formula: sx.Formula, max_worlds: int, **kwargs) -> ValidResult
     return ValidResult("valid-up-to-bound", None, result.models_examined)
 
 
-def _product(choices, repeat):
-    if repeat == 0:
-        yield ()
-        return
-    for rest in _product(choices, repeat - 1):
-        for item in choices:
-            yield rest + (item,)
-
-
 def _build(worlds, agents, partition_combo, atoms, val_combo) -> KripkeModel:
     partitions = {
         agent: [[worlds[i] for i in cell] for cell in cells]
@@ -187,33 +201,33 @@ def _build(worlds, agents, partition_combo, atoms, val_combo) -> KripkeModel:
     return KripkeModel.from_partitions(worlds, agents, partitions, valuation)
 
 
-def _canonical_key(n, partition_combo, val_combo):
-    """Relabel worlds canonically; equal keys imply isomorphic candidates."""
-    cell_of = []
-    for cells in partition_combo:
-        owner = [0] * n
-        for c, cell in enumerate(cells):
-            for i in cell:
-                owner[i] = c
-        cell_of.append(owner)
+@lru_cache(maxsize=None)
+def _relabelings(n: int) -> tuple:
+    """For every permutation of range(n) other than the identity, its action
+    on the indices of ``partitions_as_cells(n)`` and on valuation masks."""
+    partitions = list(partitions_as_cells(n))
+    index = {cells: k for k, cells in enumerate(partitions)}
+    perms = []
+    for perm in islice(permutations(range(n)), 1, None):
+        on_partitions = tuple(
+            index[tuple(sorted(tuple(sorted(perm[i] for i in cell)) for cell in cells))]
+            for cells in partitions
+        )
+        on_masks = tuple(
+            sum(1 << perm[i] for i in range(n) if bits >> i & 1) for bits in range(2 ** n)
+        )
+        perms.append((on_partitions, on_masks))
+    return tuple(perms)
 
-    def val_vec(i):
-        return tuple(bits >> i & 1 for bits in val_combo)
 
-    def world_sig(i):
-        cellmates = []
-        for owner, cells in zip(cell_of, partition_combo):
-            cell = cells[owner[i]]
-            cellmates.append(tuple(sorted(val_vec(j) for j in cell)))
-        return (val_vec(i), tuple(cellmates))
-
-    order = sorted(range(n), key=lambda i: (world_sig(i), i))
-    rank = {old: new for new, old in enumerate(order)}
-    new_vals = tuple(
-        sum(1 << rank[i] for i in range(n) if bits >> i & 1) for bits in val_combo
-    )
-    new_parts = tuple(
-        tuple(sorted(tuple(sorted(rank[i] for i in cell)) for cell in cells))
-        for cells in partition_combo
-    )
-    return new_vals, new_parts
+def _frame_automorphisms(frame: tuple, relabelings) -> list | None:
+    """None if some relabeling maps the frame to a lexicographically smaller
+    one; otherwise the valuation-mask tables of the relabelings fixing it."""
+    automorphisms = []
+    for on_partitions, on_masks in relabelings:
+        image = tuple(on_partitions[k] for k in frame)
+        if image < frame:
+            return None
+        if image == frame:
+            automorphisms.append(on_masks)
+    return automorphisms

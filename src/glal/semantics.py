@@ -73,12 +73,16 @@ class EvalContext:
     """Memo tables shared across evaluations.
 
     With ``cache=False`` every satisfaction set and refinement is
-    recomputed; results must be identical either way.
+    recomputed; results must be identical either way.  Entries are keyed
+    on ``id(model)``, so every model an entry is stored for stays
+    referenced from ``_pinned``: its id cannot be reused by another model
+    while the entry lives.
     """
 
     def __init__(self, cache: bool = True):
         self.cache = cache
         self._interned: dict = {}
+        self._pinned: dict = {}
         self._sat: dict = {}
         self._refined: dict = {}
         self._components: dict = {}
@@ -99,6 +103,7 @@ class EvalContext:
         out = self._eval(model, f)
         if self.cache:
             self._sat[key] = out
+            self._pinned[id(model)] = model
         return out
 
     def _eval(self, model: KripkeModel, f: sx.Formula) -> int:
@@ -218,6 +223,7 @@ class EvalContext:
             unassigned &= ~comp
         if self.cache:
             self._components[key] = comps
+            self._pinned[id(model)] = model
         return comps
 
     def _component_of(self, model: KripkeModel, names, world_idx: int) -> int:
@@ -273,6 +279,7 @@ class EvalContext:
         refined = self.intern(_split_model(model, splits, psi))
         if self.cache:
             self._refined[key] = refined
+            self._pinned[id(model)] = model
         return refined
 
     def _pal_model(self, model, announced, psi) -> KripkeModel:
@@ -284,6 +291,7 @@ class EvalContext:
         refined = self.intern(_restrict_model(model, psi))
         if self.cache:
             self._refined[key] = refined
+            self._pinned[id(model)] = model
         return refined
 
 

@@ -28,6 +28,11 @@ from dataclasses import dataclass
 
 from .errors import FormulaSyntaxError, NotPalFragment, UnknownOperator
 
+# Deepest formula (a leaf has depth 1) and deepest nesting of operators and
+# parentheses that parse accepts.  Evaluation recurses about three frames per
+# level and the parser up to seven, inside the default recursion limit of 1000.
+MAX_DEPTH = 100
+
 _IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
 
@@ -336,6 +341,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -363,40 +369,66 @@ class _Parser:
         )
 
     # grammar levels -------------------------------------------------------
+    #
+    # Each level returns the parsed node and its depth (a leaf has depth 1).
 
-    def formula(self) -> Formula:
-        left = self.implication()
+    def deeper(self, depth: int, tok: _Token) -> int:
+        """Depth of a node over a child of ``depth``, checked against the limit."""
+        if depth >= MAX_DEPTH:
+            raise FormulaSyntaxError(
+                f"formula nested deeper than {MAX_DEPTH} levels", tok.line, tok.column
+            )
+        return depth + 1
+
+    def formula(self) -> tuple:
+        left, d = self.implication()
         while self.peek().kind == "<->":
-            self.advance()
-            left = Iff(left, self.implication())
-        return left
+            tok = self.advance()
+            right, e = self.implication()
+            left, d = Iff(left, right), self.deeper(max(d, e), tok)
+        return left, d
 
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().kind == "->":
-            self.advance()
-            return Implies(left, self.implication())
-        return left
+    def implication(self) -> tuple:
+        operands, arrows = [self.disjunction()], []
+        while self.peek().kind == "->":
+            arrows.append(self.advance())
+            operands.append(self.disjunction())
+        right, d = operands.pop()
+        while operands:
+            (left, e), tok = operands.pop(), arrows.pop()
+            right, d = Implies(left, right), self.deeper(max(d, e), tok)
+        return right, d
 
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
+    def disjunction(self) -> tuple:
+        left, d = self.conjunction()
         while self.peek().kind == "|":
-            self.advance()
-            left = Or(left, self.conjunction())
-        return left
+            tok = self.advance()
+            right, e = self.conjunction()
+            left, d = Or(left, right), self.deeper(max(d, e), tok)
+        return left, d
 
-    def conjunction(self) -> Formula:
-        left = self.unary()
+    def conjunction(self) -> tuple:
+        left, d = self.unary()
         while self.peek().kind == "&":
-            self.advance()
-            left = And(left, self.unary())
-        return left
+            tok = self.advance()
+            right, e = self.unary()
+            left, d = And(left, right), self.deeper(max(d, e), tok)
+        return left, d
 
-    def unary(self) -> Formula:
+    def unary(self) -> tuple:
+        # Every recursive descent passes through here, so bounding the
+        # nesting of unary levels (parentheses included) bounds the stack.
         tok = self.peek()
+        self.nesting = self.deeper(self.nesting, tok)
+        node = self.operand(tok)
+        self.nesting -= 1
+        return node
+
+    def operand(self, tok: _Token) -> tuple:
         if tok.kind == "!":
             self.advance()
-            return Not(self.unary())
+            sub, d = self.unary()
+            return Not(sub), self.deeper(d, tok)
         if tok.kind == "(":
             self.advance()
             inner = self.formula()
@@ -404,13 +436,13 @@ class _Parser:
             return inner
         if tok.kind == "true":
             self.advance()
-            return TOP
+            return TOP, 1
         if tok.kind == "false":
             self.advance()
-            return BOT
+            return BOT, 1
         if tok.kind == "ident":
             self.advance()
-            return Atom(tok.text)
+            return Atom(tok.text), 1
         if tok.kind == "boxhead":
             return self.epistemic_box()
         if tok.kind == "[":
@@ -419,7 +451,7 @@ class _Parser:
             return self.announcement("<", ">")
         raise self.fail({"formula"})
 
-    def epistemic_box(self) -> Formula:
+    def epistemic_box(self) -> tuple:
         head = self.advance()
         if head.text not in _BOX_NAMES:
             raise UnknownOperator(
@@ -434,16 +466,16 @@ class _Parser:
                     f"{head.text}{{…}} takes exactly one agent", head.line, head.column
                 )
             (agent,) = coalition.members
-            sub = self.unary()
+            sub, d = self.unary()
             cls = {"K": Know, "Kw": KnowWhether, "M": Dual}[head.text]
-            return cls(agent, sub)
-        sub = self.unary()
+            return cls(agent, sub), self.deeper(d, head)
+        sub, d = self.unary()
         cls = {"C": Common, "E": Everybody, "D": Distributed}[head.text]
-        return cls(coalition, sub)
+        return cls(coalition, sub), self.deeper(d, head)
 
-    def announcement(self, open_kind: str, close_kind: str) -> Formula:
+    def announcement(self, open_kind: str, close_kind: str) -> tuple:
         open_tok = self.expect(open_kind)
-        announced = self.formula()
+        announced, e = self.formula()
         self.expect(close_kind)
         sign = self.peek()
         if sign.kind in ("-", "+"):
@@ -451,10 +483,12 @@ class _Parser:
             self.expect("{")
             coalition = self.agent_list()
             self.expect("}")
-            sub = self.unary()
+            sub, d = self.unary()
             if open_kind == "[":
-                return (AnnLocal if sign.kind == "-" else AnnGlobal)(announced, coalition, sub)
-            return (DiaLocal if sign.kind == "-" else DiaGlobal)(announced, coalition, sub)
+                cls = AnnLocal if sign.kind == "-" else AnnGlobal
+            else:
+                cls = DiaLocal if sign.kind == "-" else DiaGlobal
+            return cls(announced, coalition, sub), self.deeper(max(d, e), open_tok)
         if sign.kind == "{":
             self.advance()
             coalition = self.agent_list()
@@ -465,12 +499,13 @@ class _Parser:
                     sign.line,
                     sign.column,
                 )
-            sub = self.unary()
+            sub, d = self.unary()
             # Local and global refinements coincide for a single agent.
-            return (AnnLocal if open_kind == "[" else DiaLocal)(announced, coalition, sub)
+            cls = AnnLocal if open_kind == "[" else DiaLocal
+            return cls(announced, coalition, sub), self.deeper(max(d, e), open_tok)
         if open_kind == "[":
-            sub = self.unary()
-            return PalAnn(announced, sub)
+            sub, d = self.unary()
+            return PalAnn(announced, sub), self.deeper(max(d, e), open_tok)
         raise FormulaSyntaxError(
             "diamond announcement needs a sign or singleton coalition",
             open_tok.line,
@@ -493,9 +528,14 @@ class _Parser:
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete formula text into its AST."""
+    """Parse concrete formula text into its AST.
+
+    Formulas nested deeper than MAX_DEPTH levels, counting parentheses,
+    are rejected, so that printing and evaluating a parsed formula stay
+    within the interpreter's default recursion limit.
+    """
     parser = _Parser(_tokenize(text))
-    result = parser.formula()
+    result, _ = parser.formula()
     tok = parser.peek()
     if tok.kind != "eof":
         raise FormulaSyntaxError(

@@ -5,6 +5,7 @@ import pytest
 from glal import cli
 from glal.model import save
 from glal.scenarios import bit_channel, muddy
+from glal.syntax import MAX_DEPTH
 
 
 @pytest.fixture
@@ -66,6 +67,26 @@ def test_recursive_defs_rejected(capsys, muddy3, tmp_path):
     code, _, err = run(capsys, "check", f"{muddy3}:100", "a", "--defs", str(defs))
     assert code == 66
     assert "one pass" in err
+
+
+def test_ill_typed_model_is_model_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"worlds": "ab", "agents": [], "valuation": {"p": "a"}}))
+    code, out, err = run(capsys, "check", f"{bad}:a", "p")
+    assert code == 66
+    assert out == ""
+    assert "list of strings" in err
+
+
+def test_nesting_limit(capsys, muddy3):
+    at_limit = ["!" * (MAX_DEPTH - 1) + "m_r", " & ".join(["m_r"] * MAX_DEPTH)]
+    for text in at_limit:
+        code, out, _ = run(capsys, "check", f"{muddy3}:100", text)
+        assert code in (0, 1) and "result" in json.loads(out)
+    for text in ["!" + at_limit[0], at_limit[1] + " & m_r", "!" * 3000 + "m_r"]:
+        code, out, err = run(capsys, "check", f"{muddy3}:100", text)
+        assert code == 65
+        assert f"deeper than {MAX_DEPTH}" in err
 
 
 def test_usage_error_is_64(capsys):

@@ -225,6 +225,24 @@ def test_load_schema_errors():
             "worlds": ["w"], "agents": ["a"],
             "relations": {}, "valuation": {"p": ["nope"]},
         }))
+    ill_typed = [
+        {"worlds": "ab", "agents": [], "valuation": {}},
+        {"worlds": ["a", 1], "agents": [], "valuation": {}},
+        {"worlds": ["a"], "agents": "x", "valuation": {}},
+        {"worlds": ["a", "b"], "agents": [], "valuation": {"p": "a"}},
+        {"worlds": ["a"], "agents": ["x"], "relations": [], "valuation": {}},
+        {"worlds": ["a", "b"], "agents": ["x"],
+         "relations": {"x": {"partition": ["ab"]}}, "valuation": {}},
+        {"worlds": ["a", "b"], "agents": ["x"],
+         "relations": {"x": {"partition": "ab"}}, "valuation": {}},
+        {"worlds": ["a", "b"], "agents": ["x"],
+         "relations": {"x": {"pairs": ["ab"]}}, "valuation": {}},
+        {"worlds": ["a", "b"], "agents": ["x"],
+         "relations": {"x": {"pairs": [["a", "b", "a"]]}}, "valuation": {}},
+    ]
+    for obj in ill_typed:
+        with pytest.raises(FormatError):
+            load(json.dumps(obj))
 
 
 def test_missing_relation_defaults_to_identity():

@@ -1,7 +1,10 @@
 import random
+from dataclasses import replace
+from itertools import permutations, product
 
 import pytest
 
+from glal import sat as sat_module
 from glal.errors import BoundExceeded
 from glal.fuzz import random_formula
 from glal.sat import (
@@ -94,6 +97,10 @@ def test_budget_estimate_guard():
     with pytest.raises(BoundExceeded):
         sat_bounded(SatQuery(parse("p & K{a} K{b} K{c} q"), max_worlds=6, budget=1000))
     assert estimated_candidates(3, 2, 2) == 1 * 4 + 4 * 16 + 25 * 64
+    with pytest.warns(UserWarning):
+        eight_worlds = SatQuery(parse("p & !p"), max_worlds=8, allow_large=True)
+    with pytest.raises(BoundExceeded):  # 8! permutations, each tabled on 4140 partitions
+        sat_bounded(eight_worlds)
 
 
 def test_iso_pruning_soundness():
@@ -129,3 +136,66 @@ def test_vocabulary_defaults_from_formula():
     q2 = SatQuery(parse("true"), max_worlds=2)
     assert q2.vocabulary() == ((), ())
     assert sat_bounded(q2).satisfiable
+
+
+def test_pruning_agrees_with_unpruned_enumeration():
+    rng = random.Random(2025)
+
+    def literals(atoms):
+        return " & ".join(rng.choice(("", "!")) + p for p in atoms)
+
+    for _ in range(40):
+        agents = ("a", "b")[: rng.randint(1, 2)]
+        atoms = ("p", "q")[: rng.randint(1, 2)]
+        # Chains of possibilities need witnesses of several worlds, whose
+        # frames have nontrivial automorphisms.
+        chains = " & ".join(
+            f"M{{{rng.choice(agents)}}} ({literals(atoms)} & M{{{rng.choice(agents)}}} "
+            f"({literals(atoms)}))"
+            for _ in range(2)
+        )
+        f = parse(f"({random_formula(rng, 3, atoms, agents)}) & {chains}")
+        # 4 worlds unless the unpruned run would build tens of thousands of models.
+        max_worlds = 4 if estimated_candidates(4, len(agents), len(atoms)) < 5000 else 3
+        query = SatQuery(f, max_worlds, agents=agents, atoms=atoms)
+        pruned = sat_bounded(query)
+        full = sat_bounded(replace(query, prune_isomorphic=False))
+        assert pruned.status == full.status
+        assert pruned.models_examined == full.models_examined
+        assert pruned.witness == full.witness
+
+
+def _canonical_form(n, combo, vals):
+    """Least relabeling of a candidate over all of S_n, by brute force."""
+    forms = []
+    for perm in permutations(range(n)):
+        cells = tuple(
+            tuple(sorted(tuple(sorted(perm[i] for i in cell)) for cell in partition))
+            for partition in combo
+        )
+        masks = tuple(sum(1 << perm[i] for i in range(n) if bits >> i & 1) for bits in vals)
+        forms.append((cells, masks))
+    return min(forms)
+
+
+@pytest.mark.parametrize("agents, atoms", [(("a", "b"), ("p",)), (("a",), ("p", "q"))])
+def test_pruning_builds_one_candidate_per_isomorphism_class(monkeypatch, agents, atoms):
+    built = []
+    real_build = sat_module._build
+
+    def counting_build(*args):
+        worlds, _, combo, _, vals = args
+        built.append(_canonical_form(len(worlds), combo, vals))
+        return real_build(*args)
+
+    monkeypatch.setattr(sat_module, "_build", counting_build)
+    result = sat_bounded(SatQuery(parse("p & !p"), 4, agents=agents, atoms=atoms))
+    assert result.status == "unsat-up-to-bound"
+    classes = set()
+    for n in range(1, 5):
+        partitions = list(partitions_as_cells(n))
+        for combo in product(partitions, repeat=len(agents)):
+            for vals in product(range(2 ** n), repeat=len(atoms)):
+                classes.add(_canonical_form(n, combo, vals))
+    assert len(built) == len(classes)
+    assert set(built) == classes

@@ -265,6 +265,17 @@ def test_cache_equals_no_cache():
         assert cached == plain
 
 
+def test_shared_context_never_answers_for_a_dead_model():
+    # None of these models is interned, so each dies after its call and a
+    # later model may be allocated at its address.
+    rng = random.Random(0)
+    shared = EvalContext()
+    for _ in range(3000):
+        m = random_model(rng, rng.randint(1, 4), ["a", "b"], ["p", "q"])
+        f = random_formula(rng, 3, ["p", "q"], ["a", "b"])
+        assert shared.mask(m, f) == EvalContext(cache=False).mask(m, f)
+
+
 def test_trace_records_nested_refinements():
     m = muddy(3)
     p = PointedModel(m, "100")
