@@ -51,19 +51,19 @@ class _Side:
     def __init__(self, model: KripkeModel):
         self.model = model
         self.worlds = model.worlds
-        c = model._c
+        index, nbr = model._index, model._nbr
         self.agents = model.agents
         atoms = {atom for atom, _ in model.valuation}
         self.atoms = atoms
         self.profile = {}
         self.by_profile = {}
         for w in self.worlds:
-            i = c.index[w]
+            i = index[w]
             groups = {}
             for v in self.worlds:
-                j = c.index[v]
+                j = index[v]
                 prof = frozenset(
-                    a for a, k in c.agent_index.items() if c.nbr[k][i] >> j & 1
+                    a for a, k in model._agent_index.items() if nbr[k][i] >> j & 1
                 )
                 self.profile[(w, v)] = prof
                 groups.setdefault(prof, []).append(v)

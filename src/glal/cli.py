@@ -35,7 +35,7 @@ from .semantics import (
 )
 from .scenarios import bit_channel, muddy
 from .suite import run_suite
-from .syntax import Formula, parse, print_formula
+from .syntax import atoms, parse, print_formula
 
 EX_OK = 0
 EX_FALSE = 1
@@ -75,6 +75,7 @@ def _read_pointed(spec: str) -> PointedModel:
 
 
 def _load_defs(path: str | None) -> dict:
+    """Alias names mapped to their parsed bodies."""
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -86,29 +87,15 @@ def _load_defs(path: str | None) -> dict:
         isinstance(v, str) for v in data.values()
     ):
         raise FormatError("alias file must map names to formula strings")
-    import re
-
-    for name, body in data.items():
-        tokens = set(re.findall(r"[A-Za-z0-9_]+", body))
-        inside = tokens & set(data)
+    defs = {name: parse(body) for name, body in data.items()}
+    for name, body in defs.items():
+        inside = atoms(body) & set(defs)
         if inside:
             raise FormatError(
                 f"alias {name!r} mentions alias {sorted(inside)[0]!r}; "
                 "aliases must expand in one pass"
             )
-    return data
-
-
-def _parse_formula(text: str, defs: dict) -> Formula:
-    if defs:
-        import re
-
-        def sub(match):
-            name = match.group(0)
-            return "(" + defs[name] + ")" if name in defs else name
-
-        text = re.sub(r"[A-Za-z0-9_]+", sub, text)
-    return parse(text)
+    return defs
 
 
 def _write_model(model: KripkeModel, out: str | None):
@@ -118,6 +105,19 @@ def _write_model(model: KripkeModel, out: str | None):
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    convert.__name__ = "int"  # argparse names the type in its messages
+    return convert
 
 
 def build_parser() -> _Parser:
@@ -154,13 +154,13 @@ def build_parser() -> _Parser:
     p.add_argument("--right", required=True, help="model.json:world")
     p.add_argument("--total", action="store_true",
                    help="also require every world to be matched")
-    p.add_argument("--distinguish", type=int, metavar="DEPTH", default=None,
+    p.add_argument("--distinguish", type=_at_least(0), metavar="DEPTH", default=None,
                    help="when unrelated, search for a distinguishing formula")
     p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("sat", help="bounded satisfiability")
     p.add_argument("formula")
-    p.add_argument("--max-worlds", type=int, default=4)
+    p.add_argument("--max-worlds", type=_at_least(1), default=4)
     p.add_argument("--agents", default=None, help="comma-separated agent pool")
     p.add_argument("--atoms", default=None, help="comma-separated atom pool")
     p.add_argument("--defs")
@@ -168,14 +168,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("valid", help="bounded validity")
     p.add_argument("formula")
-    p.add_argument("--max-worlds", type=int, default=4)
+    p.add_argument("--max-worlds", type=_at_least(1), default=4)
     p.add_argument("--defs")
     p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("scenario", help="write a bundled example model")
     scen = p.add_subparsers(dest="scenario", required=True)
     pm = scen.add_parser("muddy")
-    pm.add_argument("--n", type=int, required=True)
+    pm.add_argument("--n", type=_at_least(1), required=True)
     pm.add_argument("--out")
     pc = scen.add_parser("channel")
     pc.add_argument("--variant", choices=["N", "Nprime"], required=True)
@@ -193,7 +193,7 @@ def build_parser() -> _Parser:
 
 def _run(args) -> int:
     if args.command == "check":
-        formula = _parse_formula(args.formula, _load_defs(args.defs))
+        formula = parse(args.formula, _load_defs(args.defs))
         pointed = _read_pointed(args.pointed)
         result = check(pointed, formula)
         _emit({"result": result}, [f"result: {result}"], args.pretty)
@@ -201,7 +201,7 @@ def _run(args) -> int:
 
     if args.command == "refine":
         defs = _load_defs(args.defs)
-        announced = _parse_formula(args.announce, defs)
+        announced = parse(args.announce, defs)
         pointed = _read_pointed(args.pointed)
         coalition = tuple(a for a in args.coalition.split(",") if a)
         if args.coalition.strip() == "*":
@@ -221,7 +221,7 @@ def _run(args) -> int:
         return EX_OK
 
     if args.command == "tree":
-        formula = _parse_formula(args.formula, _load_defs(args.defs))
+        formula = parse(args.formula, _load_defs(args.defs))
         pointed = _read_pointed(args.pointed)
         result, trace = check_traced(pointed, formula)
         _emit(trace.to_obj())
@@ -245,7 +245,7 @@ def _run(args) -> int:
         return EX_OK if result.related else EX_FALSE
 
     if args.command == "sat":
-        formula = _parse_formula(args.formula, _load_defs(args.defs))
+        formula = parse(args.formula, _load_defs(args.defs))
         query = SatQuery(
             formula,
             max_worlds=args.max_worlds,
@@ -263,7 +263,7 @@ def _run(args) -> int:
         return EX_OK if result.satisfiable else EX_FALSE
 
     if args.command == "valid":
-        formula = _parse_formula(args.formula, _load_defs(args.defs))
+        formula = parse(args.formula, _load_defs(args.defs))
         result = valid_bounded(formula, args.max_worlds)
         payload = {"status": result.status, "models_examined": result.models_examined}
         if result.counterexample:

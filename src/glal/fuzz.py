@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from . import syntax as sx
-from .model import KripkeModel, PointedModel
+from .model import KripkeModel, PointedModel, iter_bits
 from .semantics import EvalContext
 
 FRAGMENTS = ("propositional", "epistemic", "pal", "full")
@@ -125,24 +125,18 @@ def duplicate_worlds(rng: random.Random, model: KripkeModel, copies: int = 1) ->
     exact-profile bisimulation between the model and its extension.
     Returns (extended model, {original: twin}).
     """
-    worlds = list(model.worlds)
-    chosen = rng.sample(worlds, min(copies, len(worlds)))
+    chosen = rng.sample(list(model.worlds), min(copies, len(model.worlds)))
     twin_of = {w: f"{w}_twin" for w in chosen}
-    new_worlds = worlds + [twin_of[w] for w in chosen]
+    new_worlds = tuple(sorted(model.worlds + tuple(twin_of.values())))
+    bit = {w: 1 << i for i, w in enumerate(new_worlds)}
+    spread = [bit[w] | bit.get(twin_of.get(w), 0) for w in model.worlds]
 
-    def extend(group):
-        return [g for w in group for g in ([w, twin_of[w]] if w in twin_of else [w])]
+    def extend(mask):
+        return sum(spread[i] for i in iter_bits(mask))
 
-    partitions = {}
-    for k, agent in enumerate(model.agents):
-        seen, cells = set(), []
-        for w in model.worlds:
-            if w in seen:
-                continue
-            cell = sorted(v for (u, v) in model.relations[k] if u == w)
-            seen.update(cell)
-            cells.append(extend(cell))
-        partitions[agent] = cells
-    valuation = {atom: extend(sorted(ws)) for atom, ws in model.valuation}
-    extended = KripkeModel.from_partitions(new_worlds, model.agents, partitions, valuation)
+    cells = tuple(tuple(extend(cell) for cell in part) for part in model.cells)
+    valuation = {
+        atom: ws | {twin_of[w] for w in ws if w in twin_of} for atom, ws in model.valuation
+    }
+    extended = KripkeModel(new_worlds, model.agents, cells, valuation)
     return extended, twin_of

@@ -1,10 +1,15 @@
-"""Kripke models: per-agent indistinguishability relations, closures, JSON I/O.
+"""Kripke models: per-agent partitions of the worlds as bitmasks, queries, JSON I/O.
 
-Relations are stored as pair sets so that validation has something to
-check; the file format's canonical form is per-agent partitions, which
-make the equivalence invariant unfalsifiable at rest.  Worlds, agents and
-valuation entries are kept lexicographically sorted, so structural
-equality and saved output are deterministic.
+Worlds, agents and valuation entries are kept lexicographically sorted,
+and bit i of a world mask stands for ``worlds[i]``.  Each agent's
+indistinguishability relation is stored as its equivalence classes: a
+tuple of nonempty, disjoint world masks covering every world, in order of
+each class's lowest world.  That form is canonical, so structural
+equality, hashing and saved output are deterministic, and every stored
+relation is an equivalence by construction.  Pair lists exist only at the
+load boundary (``from_pairs`` and the ``"pairs"`` file form), where
+``validate`` reports reflexivity, symmetry and transitivity violations
+before the pairs become classes.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .errors import FormatError, InvalidModel, UnknownAgent, UnknownWorld
 
 @dataclass(frozen=True)
 class Violation:
-    """One broken model invariant, with a witnessing tuple."""
+    """One broken relation invariant, with a witnessing tuple."""
 
     kind: str  # reflexivity | symmetry | transitivity | dangling-reference
     agent: str | None
@@ -27,41 +32,6 @@ class Violation:
     def __str__(self) -> str:
         where = f" [{self.agent}]" if self.agent else ""
         return f"{self.kind}{where} {self.witness}"
-
-
-class _Compiled:
-    """Index/bitmask view of a valid model, built lazily and shared."""
-
-    __slots__ = ("index", "n", "full", "atom_mask", "nbr", "cells", "agent_index")
-
-    def __init__(self, model: "KripkeModel"):
-        self.index = {w: i for i, w in enumerate(model.worlds)}
-        self.n = len(model.worlds)
-        self.full = (1 << self.n) - 1
-        self.atom_mask = {
-            atom: _mask_of(worlds, self.index) for atom, worlds in model.valuation
-        }
-        self.agent_index = {a: k for k, a in enumerate(model.agents)}
-        self.nbr = []
-        self.cells = []
-        for rel in model.relations:
-            nbr = [0] * self.n
-            for (u, v) in rel:
-                nbr[self.index[u]] |= 1 << self.index[v]
-            self.nbr.append(nbr)
-            seen, cells = set(), []
-            for m in nbr:
-                if m and m not in seen:
-                    seen.add(m)
-                    cells.append(m)
-            self.cells.append(cells)
-
-
-def _mask_of(worlds, index) -> int:
-    m = 0
-    for w in worlds:
-        m |= 1 << index[w]
-    return m
 
 
 def _names_of(mask: int, worlds) -> frozenset:
@@ -80,31 +50,69 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+def lowest_bit(mask: int) -> int:
+    return mask & -mask
+
+
 @dataclass(frozen=True)
 class KripkeModel:
-    worlds: tuple
-    agents: tuple
-    relations: tuple  # per agent, frozenset of (world, world) pairs
+    worlds: tuple  # sorted world names
+    agents: tuple  # sorted agent names
+    cells: tuple  # per agent, its classes as world masks, by lowest world
     valuation: tuple  # sorted (atom, frozenset of worlds) entries
 
     def __post_init__(self):
-        worlds = tuple(sorted(self.worlds))
+        worlds = tuple(self.worlds)
         if len(set(worlds)) != len(worlds):
             raise FormatError("duplicate world names")
-        if len(self.relations) != len(self.agents):
-            raise FormatError("one relation per agent required")
+        if list(worlds) != sorted(worlds):
+            raise FormatError("worlds must be sorted")
+        if len(self.cells) != len(self.agents):
+            raise FormatError("one partition per agent required")
         order = sorted(range(len(self.agents)), key=lambda i: self.agents[i])
         agents = tuple(self.agents[i] for i in order)
         if len(set(agents)) != len(agents):
             raise FormatError("duplicate agent names")
-        relations = tuple(frozenset(map(tuple, self.relations[i])) for i in order)
-        valuation = tuple(
-            sorted((atom, frozenset(ws)) for atom, ws in dict(self.valuation).items())
-        )
+        full = (1 << len(worlds)) - 1
+        cells = []
+        for i in order:
+            part = tuple(sorted(self.cells[i], key=lowest_bit))
+            covered = 0
+            for cell in part:
+                if cell <= 0 or cell & covered:
+                    covered = -1
+                    break
+                covered |= cell
+            if covered != full:
+                raise FormatError(
+                    f"the cells of {self.agents[i]!r} must partition the worlds"
+                )
+            cells.append(part)
+        world_set = frozenset(worlds)
+        valuation = []
+        for atom, ws in dict(self.valuation).items():
+            ws = frozenset(ws)
+            unknown = ws - world_set
+            if unknown:
+                raise FormatError(
+                    f"unknown world {sorted(unknown)[0]!r} in valuation of {atom!r}"
+                )
+            valuation.append((atom, ws))
         object.__setattr__(self, "worlds", worlds)
         object.__setattr__(self, "agents", agents)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "valuation", valuation)
+        object.__setattr__(self, "cells", tuple(cells))
+        object.__setattr__(self, "valuation", tuple(sorted(valuation)))
+
+    @classmethod
+    def _canonical(cls, worlds, agents, cells, valuation) -> "KripkeModel":
+        """A model from parts already in canonical form, unchecked.
+
+        For constructors that derive a model from a valid one (refinements,
+        restrictions) or build canonical masks themselves.
+        """
+        model = object.__new__(cls)
+        model.__dict__.update(worlds=worlds, agents=agents, cells=cells, valuation=valuation)
+        return model
 
     # construction ---------------------------------------------------------
 
@@ -116,54 +124,73 @@ class KripkeModel:
         agents missing from the mapping get the identity relation.
         """
         worlds = tuple(sorted(worlds))
-        world_set = set(worlds)
-        relations = []
+        bit = {w: 1 << i for i, w in enumerate(worlds)}
+        full = (1 << len(worlds)) - 1
+        cells = []
         for agent in agents:
-            cells = [tuple(c) for c in (partitions or {}).get(agent, ())]
-            seen = set()
-            pairs = set()
-            for cell in cells:
+            seen, part = 0, []
+            for cell in (partitions or {}).get(agent, ()):
+                mask = 0
                 for w in cell:
-                    if w not in world_set:
+                    b = bit.get(w)
+                    if b is None:
                         raise FormatError(f"unknown world {w!r} in partition of {agent!r}")
-                    if w in seen:
+                    if b & seen:
                         raise FormatError(f"world {w!r} occurs in two cells for {agent!r}")
-                    seen.add(w)
-                pairs.update((u, v) for u in cell for v in cell)
-            pairs.update((w, w) for w in world_set - seen)
-            relations.append(frozenset(pairs))
-        return KripkeModel(
-            worlds, tuple(agents), tuple(relations), _valuation_entries(valuation, world_set)
-        )
+                    seen |= b
+                    mask |= b
+                if mask:
+                    part.append(mask)
+            part.extend(1 << i for i in iter_bits(full & ~seen))
+            cells.append(part)
+        return KripkeModel(worlds, tuple(agents), tuple(cells), valuation or {})
 
     @staticmethod
     def from_pairs(worlds, agents, pairs, valuation=None) -> "KripkeModel":
         """Build from per-agent pair lists.
 
         Reflexive pairs may be omitted and symmetry closure is applied;
-        transitivity is *not* inferred, so the result may fail validate().
+        transitivity is *not* inferred: a list whose closure is not
+        transitive raises InvalidModel with the violations from validate().
         """
-        worlds = tuple(sorted(worlds))
-        world_set = set(worlds)
-        relations = []
-        for agent in agents:
-            rel = set()
-            for u, v in (pairs or {}).get(agent, ()):
-                if u not in world_set or v not in world_set:
-                    raise FormatError(f"unknown world in pair ({u!r}, {v!r}) for {agent!r}")
-                rel.add((u, v))
-                rel.add((v, u))
-            rel.update((w, w) for w in world_set)
-            relations.append(frozenset(rel))
-        return KripkeModel(
-            worlds, tuple(agents), tuple(relations), _valuation_entries(valuation, world_set)
-        )
+        return _with_pairs(KripkeModel.from_partitions(worlds, agents, {}, valuation), pairs)
 
     # views ------------------------------------------------------------------
 
     @cached_property
-    def _c(self) -> _Compiled:
-        return _Compiled(self)
+    def _index(self) -> dict:
+        return {w: i for i, w in enumerate(self.worlds)}
+
+    @cached_property
+    def _agent_index(self) -> dict:
+        return {a: k for k, a in enumerate(self.agents)}
+
+    @cached_property
+    def _full(self) -> int:
+        return (1 << len(self.worlds)) - 1
+
+    @cached_property
+    def _atom_mask(self) -> dict:
+        index = self._index
+        out = {}
+        for atom, worlds in self.valuation:
+            m = 0
+            for w in worlds:
+                m |= 1 << index[w]
+            out[atom] = m
+        return out
+
+    @cached_property
+    def _nbr(self) -> list:
+        """Per agent, per world index, the mask of that world's class."""
+        out = []
+        for part in self.cells:
+            row = [0] * len(self.worlds)
+            for cell in part:
+                for i in iter_bits(cell):
+                    row[i] = cell
+            out.append(row)
+        return out
 
     def atom_worlds(self, atom: str) -> frozenset:
         for name, worlds in self.valuation:
@@ -176,13 +203,13 @@ class KripkeModel:
 
     def world_index(self, world: str) -> int:
         try:
-            return self._c.index[world]
+            return self._index[world]
         except KeyError:
             raise UnknownWorld(f"unknown world {world!r}") from None
 
     def agent_position(self, agent: str) -> int:
         try:
-            return self._c.agent_index[agent]
+            return self._agent_index[agent]
         except KeyError:
             raise UnknownAgent(f"unknown agent {agent!r}") from None
 
@@ -192,37 +219,17 @@ class KripkeModel:
     # serialization ----------------------------------------------------------
 
     def to_obj(self) -> dict:
-        """Canonical JSON object (partitions form). Requires a valid model."""
-        problems = validate(self)
-        if problems:
-            raise InvalidModel(problems)
-        relations = {}
-        for k, agent in enumerate(self.agents):
-            cells, seen = [], set()
-            for w in self.worlds:
-                if w in seen:
-                    continue
-                cell = sorted(v for (u, v) in self.relations[k] if u == w)
-                seen.update(cell)
-                cells.append(cell)
-            relations[agent] = {"partition": cells}
+        """Canonical JSON object (partitions form)."""
+        worlds = self.worlds
         return {
-            "worlds": list(self.worlds),
+            "worlds": list(worlds),
             "agents": list(self.agents),
-            "relations": relations,
+            "relations": {
+                agent: {"partition": [[worlds[i] for i in iter_bits(c)] for c in part]}
+                for agent, part in zip(self.agents, self.cells)
+            },
             "valuation": {atom: sorted(ws) for atom, ws in self.valuation},
         }
-
-
-def _valuation_entries(valuation, world_set) -> tuple:
-    entries = []
-    for atom, ws in (valuation or {}).items():
-        ws = frozenset(ws)
-        unknown = ws - world_set
-        if unknown:
-            raise FormatError(f"unknown world {sorted(unknown)[0]!r} in valuation of {atom!r}")
-        entries.append((atom, ws))
-    return tuple(sorted(entries))
 
 
 @dataclass(frozen=True)
@@ -245,7 +252,7 @@ def _coalition_names(model: KripkeModel, coalition) -> tuple:
     resolve = getattr(coalition, "resolve", None)
     names = resolve(model.agents) if resolve else tuple(sorted(set(coalition)))
     for a in names:
-        if a not in model._c.agent_index:
+        if a not in model._agent_index:
             raise UnknownAgent(f"unknown agent {a!r}")
     return names
 
@@ -254,7 +261,7 @@ def neighborhood(model: KripkeModel, agent: str, world: str) -> frozenset:
     """The equivalence class of ``world`` under ``agent``'s relation."""
     k = model.agent_position(agent)
     i = model.world_index(world)
-    return model.world_names(model._c.nbr[k][i])
+    return model.world_names(model._nbr[k][i])
 
 
 def union_reach(model: KripkeModel, coalition, world: str) -> frozenset:
@@ -263,7 +270,7 @@ def union_reach(model: KripkeModel, coalition, world: str) -> frozenset:
     i = model.world_index(world)
     m = 0
     for a in names:
-        m |= model._c.nbr[model.agent_position(a)][i]
+        m |= model._nbr[model.agent_position(a)][i]
     return model.world_names(m)
 
 
@@ -273,9 +280,8 @@ def common_closure(model: KripkeModel, coalition, world: str) -> frozenset:
 
 
 def closure_mask(model: KripkeModel, names, world: str) -> int:
-    c = model._c
     reach = 1 << model.world_index(world)
-    cell_lists = [c.cells[c.agent_index[a]] for a in names]
+    cell_lists = [model.cells[model._agent_index[a]] for a in names]
     changed = True
     while changed:
         changed = False
@@ -291,20 +297,23 @@ def exact_profile(model: KripkeModel, w: str, v: str) -> frozenset:
     """The exact set of agents whose relation links ``w`` and ``v``."""
     i = model.world_index(w)
     j = model.world_index(v)
-    c = model._c
-    return frozenset(a for a, k in c.agent_index.items() if c.nbr[k][i] >> j & 1)
+    nbr = model._nbr
+    return frozenset(a for a, k in model._agent_index.items() if nbr[k][i] >> j & 1)
 
 
-def validate(model: KripkeModel) -> list:
-    """All invariant violations; empty iff every relation is an equivalence."""
+def validate(worlds, agents, relations) -> list:
+    """All violations of the equivalence invariants by per-agent pair sets.
+
+    ``relations`` holds one collection of (world, world) pairs per agent, in
+    the order of ``agents``; the result is empty iff each is an equivalence
+    relation on ``worlds``.  Models store partitions, which are equivalences
+    by construction, so this check runs only where pairs come in.
+    """
     out = []
-    world_set = set(model.worlds)
-    for atom, ws in model.valuation:
-        for w in sorted(ws - world_set):
-            out.append(Violation("dangling-reference", None, (atom, w)))
-    for k, agent in enumerate(model.agents):
-        rel = model.relations[k]
-        nbrs = {w: set() for w in model.worlds}
+    worlds = sorted(worlds)
+    world_set = set(worlds)
+    for agent, rel in zip(agents, relations):
+        nbrs = {w: set() for w in worlds}
         dangling = False
         for (u, v) in sorted(rel):
             if u not in world_set or v not in world_set:
@@ -314,19 +323,48 @@ def validate(model: KripkeModel) -> list:
             nbrs[u].add(v)
         if dangling:
             continue
-        for w in model.worlds:
+        for w in worlds:
             if w not in nbrs[w]:
                 out.append(Violation("reflexivity", agent, (w, w)))
-        for u in model.worlds:
+        for u in worlds:
             for v in sorted(nbrs[u]):
                 if u not in nbrs[v]:
                     out.append(Violation("symmetry", agent, (u, v)))
-        for u in model.worlds:
+        for u in worlds:
             for v in sorted(nbrs[u]):
                 for w in sorted(nbrs[v]):
                     if w not in nbrs[u]:
                         out.append(Violation("transitivity", agent, (u, v, w)))
     return out
+
+
+def _with_pairs(model: KripkeModel, pairs: dict) -> KripkeModel:
+    """``model`` with the relation of each agent in ``pairs`` replaced by the
+    reflexive, symmetric closure of its pair list, which must be transitive."""
+    world_set = set(model.worlds)
+    closed = {}
+    for agent in model.agents:
+        if agent not in pairs:
+            continue
+        rel = {(w, w) for w in model.worlds}
+        for u, v in pairs[agent]:
+            if u not in world_set or v not in world_set:
+                raise FormatError(f"unknown world in pair ({u!r}, {v!r}) for {agent!r}")
+            rel.add((u, v))
+            rel.add((v, u))
+        closed[agent] = rel
+    problems = validate(model.worlds, tuple(closed), tuple(closed.values()))
+    if problems:
+        raise InvalidModel(problems)
+    index = model._index
+    cells = list(model.cells)
+    for agent, rel in closed.items():
+        nbr = [0] * len(model.worlds)
+        for u, v in rel:
+            nbr[index[u]] |= 1 << index[v]
+        # An equivalence's classes, each first met at its lowest world.
+        cells[model._agent_index[agent]] = tuple(dict.fromkeys(nbr))
+    return KripkeModel._canonical(model.worlds, model.agents, tuple(cells), model.valuation)
 
 
 # ---------------------------------------------------------------------------
@@ -375,27 +413,8 @@ def load(text: str) -> KripkeModel:
     for atom, ws in valuation.items():
         _strings(ws, f"valuation of {atom!r}")
 
-    partition_model = KripkeModel.from_partitions(
-        worlds, agents, partitions, valuation
-    )
-    if not pairs:
-        model = partition_model
-    else:
-        merged = []
-        for k, agent in enumerate(partition_model.agents):
-            if agent in pairs:
-                by_pairs = KripkeModel.from_pairs(worlds, [agent], {agent: pairs[agent]})
-                merged.append(by_pairs.relations[0])
-            else:
-                merged.append(partition_model.relations[k])
-        model = KripkeModel(
-            partition_model.worlds, partition_model.agents, tuple(merged),
-            partition_model.valuation,
-        )
-    problems = validate(model)
-    if problems:
-        raise InvalidModel(problems)
-    return model
+    model = KripkeModel.from_partitions(worlds, agents, partitions, valuation)
+    return _with_pairs(model, pairs) if pairs else model
 
 
 def _strings(value, what: str) -> list:
@@ -411,5 +430,5 @@ def _string_lists(value, what: str) -> list:
 
 
 def save(model: KripkeModel) -> str:
-    """Canonical JSON text; ``load(save(m)) == m`` for valid models."""
+    """Canonical JSON text; ``load(save(m)) == m``."""
     return json.dumps(model.to_obj(), sort_keys=True, separators=(",", ":")) + "\n"

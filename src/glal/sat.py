@@ -26,8 +26,8 @@ from itertools import islice, permutations, product
 from math import factorial
 
 from . import syntax as sx
-from .errors import BoundExceeded
-from .model import KripkeModel, PointedModel
+from .errors import BoundExceeded, FormatError
+from .model import KripkeModel, PointedModel, iter_bits, lowest_bit
 from .semantics import EvalContext
 
 MAX_WORLDS = 6
@@ -150,11 +150,20 @@ def sat_bounded(query: SatQuery) -> SatResult:
             f"relabeling tables of {entries} entries for {top} worlds exceed "
             f"budget {query.budget}"
         )
+    if len(set(agents)) != len(agents):
+        raise FormatError("duplicate agent names")
+    order = sorted(range(len(agents)), key=agents.__getitem__)
+    model_agents = tuple(agents[k] for k in order)
     examined = 0
     ctx = EvalContext()
     for n in range(1, top + 1):
         worlds = tuple(f"s{i}" for i in range(n))
-        partitions = list(partitions_as_cells(n))
+        model_worlds = tuple(sorted(worlds))
+        bit = [1 << model_worlds.index(w) for w in worlds]
+        partitions = [
+            tuple(sorted((sum(bit[i] for i in cell) for cell in cells), key=lowest_bit))
+            for cells in partitions_as_cells(n)
+        ]
         relabelings = _relabelings(n) if query.prune_isomorphic else ()
         per_frame = 2 ** (n * len(atoms))
         for frame in product(range(len(partitions)), repeat=len(agents)):
@@ -162,16 +171,16 @@ def sat_bounded(query: SatQuery) -> SatResult:
             if automorphisms is None:
                 examined += per_frame
                 continue
-            combo = tuple(partitions[k] for k in frame)
+            cells = tuple(partitions[frame[k]] for k in order)
             for vals in product(range(2 ** n), repeat=len(atoms)):
                 examined += 1
                 if any(tuple(on_masks[v] for v in vals) < vals
                        for on_masks in automorphisms):
                     continue
-                model = _build(worlds, agents, combo, atoms, vals)
+                model = _build(worlds, model_agents, cells, atoms, vals)
                 mask = ctx.mask(ctx.intern(model), query.formula)
                 if mask:
-                    point = worlds[next(i for i in range(n) if mask >> i & 1)]
+                    point = model.worlds[lowest_bit(mask).bit_length() - 1]
                     return SatResult("sat", PointedModel(model, point), examined)
     return SatResult("unsat-up-to-bound", None, examined)
 
@@ -189,16 +198,16 @@ def valid_bounded(formula: sx.Formula, max_worlds: int, **kwargs) -> ValidResult
     return ValidResult("valid-up-to-bound", None, result.models_examined)
 
 
-def _build(worlds, agents, partition_combo, atoms, val_combo) -> KripkeModel:
-    partitions = {
-        agent: [[worlds[i] for i in cell] for cell in cells]
-        for agent, cells in zip(agents, partition_combo)
-    }
+def _build(worlds, agents, cells, atoms, val_combo) -> KripkeModel:
+    """One candidate: ``cells`` are the frame's classes in canonical form,
+    ``val_combo`` one mask over ``worlds`` per atom."""
     valuation = {
-        atom: [worlds[i] for i in range(len(worlds)) if bits >> i & 1]
+        atom: frozenset(worlds[i] for i in iter_bits(bits))
         for atom, bits in zip(atoms, val_combo)
     }
-    return KripkeModel.from_partitions(worlds, agents, partitions, valuation)
+    return KripkeModel._canonical(
+        tuple(sorted(worlds)), agents, cells, tuple(sorted(valuation.items()))
+    )
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import syntax as sx
 from .errors import EmptyResult, NotPalFragment, UnknownAgent
-from .model import KripkeModel, PointedModel, iter_bits
+from .model import KripkeModel, PointedModel, lowest_bit, iter_bits
 
 
 @dataclass(frozen=True)
@@ -107,42 +107,42 @@ class EvalContext:
         return out
 
     def _eval(self, model: KripkeModel, f: sx.Formula) -> int:
-        c = model._c
+        full = model._full
         if isinstance(f, sx.Atom):
-            return c.atom_mask.get(f.name, 0)
+            return model._atom_mask.get(f.name, 0)
         if isinstance(f, sx.Top):
-            return c.full
+            return full
         if isinstance(f, sx.Bot):
             return 0
         if isinstance(f, sx.Not):
-            return c.full & ~self.mask(model, f.sub)
+            return full & ~self.mask(model, f.sub)
         if isinstance(f, sx.And):
             return self.mask(model, f.left) & self.mask(model, f.right)
         if isinstance(f, sx.Or):
             return self.mask(model, f.left) | self.mask(model, f.right)
         if isinstance(f, sx.Implies):
-            return (c.full & ~self.mask(model, f.left)) | self.mask(model, f.right)
+            return (full & ~self.mask(model, f.left)) | self.mask(model, f.right)
         if isinstance(f, sx.Iff):
-            return c.full & ~(self.mask(model, f.left) ^ self.mask(model, f.right))
+            return full & ~(self.mask(model, f.left) ^ self.mask(model, f.right))
         if isinstance(f, sx.Know):
             return self._know(model, f.agent, self.mask(model, f.sub))
         if isinstance(f, sx.KnowWhether):
             sub = self.mask(model, f.sub)
             return self._know(model, f.agent, sub) | self._know(
-                model, f.agent, model._c.full & ~sub
+                model, f.agent, full & ~sub
             )
         if isinstance(f, sx.Dual):
             sub = self.mask(model, f.sub)
             k = model.agent_position(f.agent)
             out = 0
-            for cell in c.cells[k]:
+            for cell in model.cells[k]:
                 if cell & sub:
                     out |= cell
             return out
         if isinstance(f, sx.Everybody):
             names = self._co(model, f.coalition)
             sub = self.mask(model, f.sub)
-            out = c.full
+            out = full
             for a in names:
                 out &= self._know(model, a, sub)
             return out
@@ -160,31 +160,32 @@ class EvalContext:
             if not names:
                 return sub
             positions = [model.agent_position(a) for a in names]
+            nbr = model._nbr
             out = 0
-            for i in range(c.n):
-                inter = c.nbr[positions[0]][i]
+            for i in range(len(model.worlds)):
+                inter = nbr[positions[0]][i]
                 for k in positions[1:]:
-                    inter &= c.nbr[k][i]
+                    inter &= nbr[k][i]
                 if inter & sub == inter:
                     out |= 1 << i
             return out
         if isinstance(f, (sx.AnnLocal, sx.AnnGlobal)):
             kind = "local" if isinstance(f, sx.AnnLocal) else "global"
             psi, cont = self._announce(model, f.announced, f.coalition, f.sub, kind)
-            return (c.full & ~psi) | cont
+            return (full & ~psi) | cont
         if isinstance(f, (sx.DiaLocal, sx.DiaGlobal)):
             kind = "local" if isinstance(f, sx.DiaLocal) else "global"
             _, cont = self._announce(model, f.announced, f.coalition, f.sub, kind)
             return cont
         if isinstance(f, sx.PalAnn):
             psi, cont = self._announce_pal(model, f.announced, f.sub)
-            return (c.full & ~psi) | cont
+            return (full & ~psi) | cont
         raise TypeError(f"not a formula node: {f!r}")
 
     def _know(self, model: KripkeModel, agent: str, sub: int) -> int:
         k = model.agent_position(agent)
         out = 0
-        for cell in model._c.cells[k]:
+        for cell in model.cells[k]:
             if cell & sub == cell:
                 out |= cell
         return out
@@ -192,7 +193,7 @@ class EvalContext:
     def _co(self, model: KripkeModel, coalition: sx.Coalition) -> tuple:
         names = coalition.resolve(model.agents)
         for a in names:
-            if a not in model._c.agent_index:
+            if a not in model._agent_index:
                 raise UnknownAgent(f"unknown agent {a!r}")
         return names
 
@@ -204,10 +205,9 @@ class EvalContext:
             hit = self._components.get(key)
             if hit is not None:
                 return hit
-        c = model._c
-        cell_lists = [c.cells[c.agent_index[a]] for a in names]
+        cell_lists = [model.cells[model._agent_index[a]] for a in names]
         comps = []
-        unassigned = c.full
+        unassigned = model._full
         while unassigned:
             low = unassigned & -unassigned
             comp = low
@@ -258,9 +258,9 @@ class EvalContext:
         return psi, cont
 
     def refined(self, model, world_idx, announced, psi, names, kind) -> KripkeModel:
-        c = model._c
         if kind == "local":
-            sig = tuple(c.nbr[c.agent_index[a]][world_idx] for a in names)
+            nbr, index = model._nbr, model._agent_index
+            sig = tuple(nbr[index[a]][world_idx] for a in names)
         elif kind == "global":
             sig = self._component_of(model, names, world_idx)
         elif kind == "semiprivate":
@@ -296,47 +296,55 @@ class EvalContext:
 
 
 def _split_model(model: KripkeModel, splits: dict, psi: int) -> KripkeModel:
-    """Copy of the model where each agent's cells inside its scope mask are
-    split into the announced/complement parts. Worlds and valuation are kept."""
-    c = model._c
-    relations = list(model.relations)
+    """Copy of the model where each agent's cells inside its scope mask (a
+    union of that agent's cells) are split into the announced/complement
+    parts.  Worlds and valuation are shared; with no cell split, the model
+    itself is returned."""
+    cells = list(model.cells)
+    changed = False
     for agent, scope in splits.items():
-        k = c.agent_index[agent]
-        new_cells = []
-        touched = False
-        for cell in c.cells[k]:
+        inside = scope & psi
+        if not inside or inside == scope:
+            continue  # no cell inside the scope is split
+        k = model._agent_index[agent]
+        parts = []
+        for cell in cells[k]:
             if cell & scope:
-                for part in (cell & psi, cell & ~psi):
-                    if part:
-                        new_cells.append(part)
-                        if part != cell:
-                            touched = True
-            else:
-                new_cells.append(cell)
-        if touched:
-            pairs = set()
-            for cell in new_cells:
-                members = [model.worlds[i] for i in iter_bits(cell)]
-                pairs.update((u, v) for u in members for v in members)
-            relations[k] = frozenset(pairs)
-    return KripkeModel(model.worlds, model.agents, tuple(relations), model.valuation)
+                inside = cell & psi
+                if inside and inside != cell:
+                    parts.append(inside)
+                    parts.append(cell ^ inside)
+                    continue
+            parts.append(cell)
+        if len(parts) != len(cells[k]):
+            cells[k] = tuple(sorted(parts, key=lowest_bit))
+            changed = True
+    if not changed:
+        return model
+    return KripkeModel._canonical(model.worlds, model.agents, tuple(cells), model.valuation)
 
 
 def _restrict_model(model: KripkeModel, keep: int) -> KripkeModel:
     """Submodel on the kept worlds (relations and valuation restricted)."""
-    c = model._c
-    kept_names = [model.worlds[i] for i in iter_bits(keep)]
-    relations = []
-    for k in range(len(model.agents)):
-        pairs = set()
-        for cell in c.cells[k]:
-            part = cell & keep
-            if part:
-                members = [model.worlds[i] for i in iter_bits(part)]
-                pairs.update((u, v) for u in members for v in members)
-        relations.append(frozenset(pairs))
-    valuation = {atom: ws & frozenset(kept_names) for atom, ws in model.valuation}
-    return KripkeModel(tuple(kept_names), model.agents, tuple(relations), tuple(valuation.items()))
+    kept = list(iter_bits(keep))
+    moved = {1 << i: 1 << j for j, i in enumerate(kept)}
+    cells = []
+    for part in model.cells:
+        squeezed = []
+        for cell in part:
+            cell &= keep
+            if cell:
+                m = 0
+                while cell:
+                    low = cell & -cell
+                    m |= moved[low]
+                    cell ^= low
+                squeezed.append(m)
+        cells.append(tuple(sorted(squeezed, key=lowest_bit)))
+    worlds = tuple(model.worlds[i] for i in kept)
+    kept_names = frozenset(worlds)
+    valuation = tuple((atom, ws & kept_names) for atom, ws in model.valuation)
+    return KripkeModel._canonical(worlds, model.agents, tuple(cells), valuation)
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +415,9 @@ def _trace(ctx: EvalContext, model: KripkeModel, point: str, f: sx.Formula) -> l
 
 
 def _pretty_key(model, kind, names, announced, world_idx, ctx) -> RefinementKey:
-    c = model._c
     if kind == "local":
         scope = tuple(
-            (a, tuple(sorted(model.world_names(c.nbr[c.agent_index[a]][world_idx]))))
+            (a, tuple(sorted(model.world_names(model._nbr[model._agent_index[a]][world_idx]))))
             for a in names
         )
     elif kind == "global":

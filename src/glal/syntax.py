@@ -338,10 +338,11 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, tokens):
+    def __init__(self, tokens, aliases):
         self.tokens = tokens
         self.pos = 0
         self.nesting = 0
+        self.aliases = aliases  # identifier -> (formula, its depth)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -442,7 +443,15 @@ class _Parser:
             return BOT, 1
         if tok.kind == "ident":
             self.advance()
-            return Atom(tok.text), 1
+            alias = self.aliases.get(tok.text)
+            if alias is None:
+                return Atom(tok.text), 1
+            # The body's levels continue below its position.
+            if self.nesting + alias[1] - 1 > MAX_DEPTH:
+                raise FormulaSyntaxError(
+                    f"formula nested deeper than {MAX_DEPTH} levels", tok.line, tok.column
+                )
+            return alias
         if tok.kind == "boxhead":
             return self.epistemic_box()
         if tok.kind == "[":
@@ -527,14 +536,17 @@ class _Parser:
         return Coalition(frozenset(names))
 
 
-def parse(text: str) -> Formula:
+def parse(text: str, aliases=None) -> Formula:
     """Parse concrete formula text into its AST.
 
-    Formulas nested deeper than MAX_DEPTH levels, counting parentheses,
-    are rejected, so that printing and evaluating a parsed formula stay
-    within the interpreter's default recursion limit.
+    ``aliases`` maps identifiers to formulas that replace atoms of that
+    name; agent names are never replaced.  Formulas nested deeper than
+    MAX_DEPTH levels, counting parentheses and the levels of substituted
+    alias bodies, are rejected, so that printing and evaluating a parsed
+    formula stay within the interpreter's default recursion limit.
     """
-    parser = _Parser(_tokenize(text))
+    bodies = {name: (body, depth(body)) for name, body in (aliases or {}).items()}
+    parser = _Parser(_tokenize(text), bodies)
     result, _ = parser.formula()
     tok = parser.peek()
     if tok.kind != "eof":

@@ -15,7 +15,7 @@ from glal.fuzz import (
     random_model,
     random_pointed,
 )
-from glal.model import PointedModel, validate
+from glal.model import PointedModel
 from glal.sat import SatQuery, sat_bounded, valid_bounded
 from glal.semantics import (
     EvalContext,
@@ -41,6 +41,7 @@ from glal.syntax import (
     depth,
     parse,
 )
+from model_checks import assert_canonical, assert_refines
 
 ALPHA = "(m_r | m_g | m_b)"
 
@@ -154,11 +155,8 @@ def test_criterion_06_refinements_stay_equivalences():
             co = random_coalition(rng, list(m.agents), allow_empty=True)
             for refine in (refine_local, refine_global):
                 refined = refine(m, w, psi, co, context=ctx)
-                assert validate(refined) == []
-                assert all(
-                    refined.relations[k] <= m.relations[k]
-                    for k in range(len(m.agents))
-                )
+                assert_canonical(refined)
+                assert_refines(refined, m)
                 count += 1
     report(6, f"{count} fuzzed refinements: all validate, all relation-shrinking")
 

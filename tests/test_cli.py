@@ -69,6 +69,26 @@ def test_recursive_defs_rejected(capsys, muddy3, tmp_path):
     assert "one pass" in err
 
 
+def test_defs_replace_atoms_not_agent_names(capsys, muddy3, tmp_path):
+    defs = tmp_path / "defs.json"
+    defs.write_text(json.dumps({"r": "m_r"}))
+    code, out, _ = run(capsys, "check", f"{muddy3}:100", "K{r} m_r", "--defs", str(defs))
+    assert code == 1 and json.loads(out) == {"result": False}
+    code, out, _ = run(capsys, "check", f"{muddy3}:100", "r & K{g} r", "--defs", str(defs))
+    assert code == 0 and json.loads(out) == {"result": True}
+
+
+def test_defs_count_against_nesting_limit(capsys, muddy3, tmp_path):
+    defs = tmp_path / "defs.json"
+    defs.write_text(json.dumps({"deep": "!" * (MAX_DEPTH - 1) + "m_r"}))
+    code, out, _ = run(capsys, "check", f"{muddy3}:100", "deep", "--defs", str(defs))
+    assert code in (0, 1) and "result" in json.loads(out)
+    for text in ["!deep", "(deep)", "m_g & deep"]:
+        code, _, err = run(capsys, "check", f"{muddy3}:100", text, "--defs", str(defs))
+        assert code == 65
+        assert f"deeper than {MAX_DEPTH}" in err
+
+
 def test_ill_typed_model_is_model_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"worlds": "ab", "agents": [], "valuation": {"p": "a"}}))
@@ -92,6 +112,28 @@ def test_nesting_limit(capsys, muddy3):
 def test_usage_error_is_64(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 64
+
+
+def test_sat_zero_worlds_is_usage_error(capsys):
+    code, _, err = run(capsys, "sat", "p", "--max-worlds", "0")
+    assert code == 64 and "--max-worlds" in err
+
+
+def test_valid_zero_worlds_is_usage_error(capsys):
+    code, _, err = run(capsys, "valid", "p", "--max-worlds", "0")
+    assert code == 64 and "--max-worlds" in err
+
+
+def test_scenario_zero_children_is_usage_error(capsys):
+    code, out, err = run(capsys, "scenario", "muddy", "--n", "0")
+    assert code == 64 and out == "" and "--n" in err
+
+
+def test_bisim_negative_depth_is_usage_error(capsys, channels):
+    n, np = channels
+    code, out, err = run(capsys, "bisim", "--kind", "m", "--left", f"{n}:w1",
+                         "--right", f"{np}:w1", "--distinguish", "-1")
+    assert code == 64 and out == "" and "--distinguish" in err
 
 
 def test_bisim_subcommand(capsys, channels):

@@ -17,6 +17,7 @@ from glal.model import (
     validate,
 )
 from glal.scenarios import bit_channel, muddy
+from model_checks import assert_canonical, pairs_of
 
 
 def test_neighborhood_muddy():
@@ -104,32 +105,35 @@ def test_exact_profile():
 
 
 def test_validate_clean_models():
-    assert validate(muddy(3)) == []
-    assert validate(bit_channel("Nprime")) == []
+    for m in (muddy(3), bit_channel("Nprime")):
+        assert_canonical(m)
+        pairs = pairs_of(m)
+        assert validate(m.worlds, m.agents, [pairs[a] for a in m.agents]) == []
 
 
 def test_validate_missing_reflexive():
-    m = KripkeModel(("w1", "w2"), ("a",), (frozenset({("w1", "w2")}),), ())
-    kinds = {(v.kind, v.witness) for v in validate(m)}
+    violations = validate(("w1", "w2"), ("a",), (frozenset({("w1", "w2")}),))
+    kinds = {(v.kind, v.witness) for v in violations}
     assert ("reflexivity", ("w1", "w1")) in kinds
     assert ("symmetry", ("w1", "w2")) in kinds
 
 
 def test_validate_missing_symmetry():
-    m = KripkeModel(
-        ("w1", "w2"),
-        ("a",),
-        (frozenset({("w1", "w1"), ("w2", "w2"), ("w1", "w2")}),),
-        (),
+    violations = validate(
+        ("w1", "w2"), ("a",), (frozenset({("w1", "w1"), ("w2", "w2"), ("w1", "w2")}),)
     )
-    assert ("symmetry", ("w1", "w2")) in {(v.kind, v.witness) for v in validate(m)}
+    assert ("symmetry", ("w1", "w2")) in {(v.kind, v.witness) for v in violations}
 
 
 def test_validate_intransitive():
-    m = KripkeModel.from_pairs(
-        ["w1", "w2", "w3"], ["a"], {"a": [("w1", "w2"), ("w2", "w3")]}
-    )
-    assert any(v.kind == "transitivity" for v in validate(m))
+    with pytest.raises(InvalidModel) as exc:
+        KripkeModel.from_pairs(
+            ["w1", "w2", "w3"], ["a"], {"a": [("w1", "w2"), ("w2", "w3")]}
+        )
+    assert {(v.kind, v.witness) for v in exc.value.violations} == {
+        ("transitivity", ("w1", "w2", "w3")),
+        ("transitivity", ("w3", "w2", "w1")),
+    }
 
 
 def test_validate_matches_bruteforce_scan():
@@ -142,7 +146,6 @@ def test_validate_matches_bruteforce_scan():
             for v in worlds:
                 if rng.random() < 0.4:
                     pairs.add((u, v))
-        m = KripkeModel(tuple(worlds), ("a",), (frozenset(pairs),), ())
         expected_clean = (
             all((w, w) in pairs for w in worlds)
             and all((v, u) in pairs for (u, v) in pairs)
@@ -153,7 +156,11 @@ def test_validate_matches_bruteforce_scan():
                 if v2 == v
             )
         )
-        assert (validate(m) == []) == expected_clean
+        assert (validate(worlds, ("a",), (frozenset(pairs),)) == []) == expected_clean
+        if expected_clean:
+            m = KripkeModel.from_pairs(worlds, ["a"], {"a": sorted(pairs)})
+            assert_canonical(m)
+            assert pairs_of(m)["a"] == pairs
 
 
 def test_save_channel_partitions():
@@ -168,14 +175,17 @@ def test_save_channel_partitions():
 
 def test_load_save_round_trip():
     for m in (muddy(3), bit_channel("N"), bit_channel("Nprime")):
-        assert load(save(m)) == m
+        back = load(save(m))
+        assert back == m and hash(back) == hash(m)
 
 
 def test_load_save_round_trip_fuzz():
     rng = random.Random(23)
     for _ in range(25):
         m = random_model(rng, rng.randint(1, 5), ["a", "b"], ["p", "q"])
-        assert load(save(m)) == m
+        back = load(save(m))
+        assert_canonical(back)
+        assert back == m and hash(back) == hash(m)
 
 
 def test_load_rejects_world_in_two_cells():

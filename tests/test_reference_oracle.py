@@ -13,13 +13,16 @@ import random
 from glal import syntax as sx
 from glal.fuzz import random_formula, random_model
 from glal.semantics import EvalContext, sat_set
+from model_checks import class_names
 
 
 def to_plain(model):
     nbr = {}
-    for k, agent in enumerate(model.agents):
-        nbr[agent] = {w: frozenset(v for (u, v) in model.relations[k] if u == w)
-                      for w in model.worlds}
+    for agent, part in zip(model.agents, model.cells):
+        nbr[agent] = {}
+        for cell in part:
+            members = frozenset(class_names(model, cell))
+            nbr[agent].update(dict.fromkeys(members, members))
     val = {atom: set(ws) for atom, ws in model.valuation}
     return {"worlds": list(model.worlds), "nbr": nbr, "val": val}
 

@@ -184,8 +184,13 @@ def test_pruning_builds_one_candidate_per_isomorphism_class(monkeypatch, agents,
     real_build = sat_module._build
 
     def counting_build(*args):
-        worlds, _, combo, _, vals = args
-        built.append(_canonical_form(len(worlds), combo, vals))
+        worlds, _, cells, _, vals = args
+        n = len(worlds)
+        combo = tuple(
+            tuple(tuple(i for i in range(n) if cell >> i & 1) for cell in part)
+            for part in cells
+        )
+        built.append(_canonical_form(n, combo, vals))
         return real_build(*args)
 
     monkeypatch.setattr(sat_module, "_build", counting_build)

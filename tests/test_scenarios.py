@@ -1,7 +1,7 @@
 import pytest
 
 from glal.errors import BoundExceeded
-from glal.model import PointedModel, exact_profile, neighborhood, validate
+from glal.model import PointedModel, exact_profile, neighborhood
 from glal.semantics import check
 from glal.scenarios import (
     at_least_one_muddy,
@@ -11,13 +11,14 @@ from glal.scenarios import (
     nobody_knows_own_state,
 )
 from glal.syntax import parse, print_formula
+from model_checks import assert_canonical, pairs_of
 
 
 def test_muddy_structure():
     m = muddy(3)
     assert len(m.worlds) == 8
     assert set(m.agents) == {"r", "g", "b"}
-    assert validate(m) == []
+    assert_canonical(m)
     for agent in m.agents:
         cells = {neighborhood(m, agent, w) for w in m.worlds}
         assert len(cells) == 4
@@ -29,7 +30,7 @@ def test_muddy_edge_counts():
         m = muddy(n)
         assert len(m.worlds) == 2 ** n
         undirected = sum(
-            (len(rel) - len(m.worlds)) // 2 for rel in m.relations
+            (len(rel) - len(m.worlds)) // 2 for rel in pairs_of(m).values()
         )
         assert undirected == n * 2 ** (n - 1)
 

@@ -4,7 +4,7 @@ import pytest
 
 from glal.errors import EmptyResult, NotPalFragment, UnknownAgent
 from glal.fuzz import random_coalition, random_formula, random_model, random_pointed
-from glal.model import KripkeModel, PointedModel, neighborhood, validate
+from glal.model import KripkeModel, PointedModel, neighborhood
 from glal.semantics import (
     EvalContext,
     check,
@@ -31,6 +31,7 @@ from glal.syntax import (
     expand_derived,
     parse,
 )
+from model_checks import assert_canonical, assert_refines
 
 ALPHA = "(m_r | m_g | m_b)"
 
@@ -168,11 +169,9 @@ def test_refinements_only_remove_pairs_and_stay_valid():
         co = random_coalition(rng, m.agents, allow_empty=True)
         for refine in (refine_local, refine_global, refine_semiprivate):
             refined = refine(m, w, psi, co, context=ctx)
-            assert validate(refined) == []
-            assert refined.worlds == m.worlds
+            assert_canonical(refined)
+            assert_refines(refined, m)
             assert refined.valuation == m.valuation
-            for k in range(len(m.agents)):
-                assert refined.relations[k] <= m.relations[k]
 
 
 def test_check_example1_global_booleans():
