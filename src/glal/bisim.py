@@ -51,28 +51,17 @@ class _Side:
     def __init__(self, model: KripkeModel):
         self.model = model
         self.worlds = model.worlds
-        index, nbr = model._index, model._nbr
-        self.agents = model.agents
-        atoms = {atom for atom, _ in model.valuation}
-        self.atoms = atoms
+        nbr = model._nbr
         self.profile = {}
-        self.by_profile = {}
-        for w in self.worlds:
-            i = index[w]
-            groups = {}
-            for v in self.worlds:
-                j = index[v]
-                prof = frozenset(
+        for i, w in enumerate(self.worlds):
+            for j, v in enumerate(self.worlds):
+                self.profile[(w, v)] = frozenset(
                     a for a, k in model._agent_index.items() if nbr[k][i] >> j & 1
                 )
-                self.profile[(w, v)] = prof
-                groups.setdefault(prof, []).append(v)
-            self.by_profile[w] = groups
 
     def val(self, w: str) -> frozenset:
-        return frozenset(
-            atom for atom, worlds in self.model.valuation if w in worlds
-        )
+        i = self.model._index[w]
+        return frozenset(atom for atom, mask in self.model.valuation if mask >> i & 1)
 
 
 def _atoms_agree(left: _Side, right: _Side, w: str, w2: str) -> bool:
@@ -338,7 +327,7 @@ def distinguishing_formula_search(
     pi = pm.world_index(p.point)
     qi = qm.world_index(q.point)
     agents = tuple(sorted(set(pm.agents) & set(qm.agents)))
-    atoms = sorted({a for a, _ in pm.valuation} | {a for a, _ in qm.valuation})
+    atoms = sorted(set(pm.atom_names()) | set(qm.atom_names()))
     coalitions = [sx.Coalition.of(*combo) for combo in _nonempty_subsets(agents)]
 
     probes = [pm, qm]

@@ -10,7 +10,6 @@ import random
 
 from . import syntax as sx
 from .model import KripkeModel, PointedModel, iter_bits
-from .semantics import EvalContext
 
 FRAGMENTS = ("propositional", "epistemic", "pal", "full")
 
@@ -45,9 +44,7 @@ def random_model(
 
 
 def _is_connected(model: KripkeModel) -> bool:
-    ctx = EvalContext()
-    comps = ctx._component_list(model, tuple(model.agents))
-    return len(comps) == 1
+    return len(model.components(model.agents)) == 1
 
 
 def random_pointed(rng: random.Random, model: KripkeModel) -> PointedModel:
@@ -135,8 +132,6 @@ def duplicate_worlds(rng: random.Random, model: KripkeModel, copies: int = 1) ->
         return sum(spread[i] for i in iter_bits(mask))
 
     cells = tuple(tuple(extend(cell) for cell in part) for part in model.cells)
-    valuation = {
-        atom: ws | {twin_of[w] for w in ws if w in twin_of} for atom, ws in model.valuation
-    }
+    valuation = {atom: extend(mask) for atom, mask in model.valuation}
     extended = KripkeModel(new_worlds, model.agents, cells, valuation)
     return extended, twin_of

@@ -1,15 +1,22 @@
-"""Kripke models: per-agent partitions of the worlds as bitmasks, queries, JSON I/O.
+"""Kripke models: per-agent partitions and the valuation as world masks.
 
 Worlds, agents and valuation entries are kept lexicographically sorted,
 and bit i of a world mask stands for ``worlds[i]``.  Each agent's
 indistinguishability relation is stored as its equivalence classes: a
 tuple of nonempty, disjoint world masks covering every world, in order of
-each class's lowest world.  That form is canonical, so structural
-equality, hashing and saved output are deterministic, and every stored
-relation is an equivalence by construction.  Pair lists exist only at the
-load boundary (``from_pairs`` and the ``"pairs"`` file form), where
-``validate`` reports reflexivity, symmetry and transitivity violations
-before the pairs become classes.
+each class's lowest world; each atom's extension is one world mask.  That
+form is canonical, so structural equality, hashing and saved output are
+deterministic, and every stored relation is an equivalence by
+construction.  World names and pair lists exist only at the boundary:
+``from_partitions``, ``load`` and ``to_obj`` convert names to masks and
+back, and ``from_pairs`` and the ``"pairs"`` file form check pairs with
+``validate`` (reflexivity, symmetry, transitivity) before they become
+classes.
+
+Everything derived from a model lives on it: lazy index views, the
+component decompositions, and the memo of satisfaction sets and
+refinements that ``semantics.EvalContext`` fills.  They are freed with
+the model.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ class KripkeModel:
     worlds: tuple  # sorted world names
     agents: tuple  # sorted agent names
     cells: tuple  # per agent, its classes as world masks, by lowest world
-    valuation: tuple  # sorted (atom, frozenset of worlds) entries
+    valuation: tuple  # sorted (atom, world mask) entries
 
     def __post_init__(self):
         worlds = tuple(self.worlds)
@@ -88,20 +95,14 @@ class KripkeModel:
                     f"the cells of {self.agents[i]!r} must partition the worlds"
                 )
             cells.append(part)
-        world_set = frozenset(worlds)
-        valuation = []
-        for atom, ws in dict(self.valuation).items():
-            ws = frozenset(ws)
-            unknown = ws - world_set
-            if unknown:
-                raise FormatError(
-                    f"unknown world {sorted(unknown)[0]!r} in valuation of {atom!r}"
-                )
-            valuation.append((atom, ws))
+        valuation = dict(self.valuation)
+        for atom, mask in valuation.items():
+            if mask & ~full:
+                raise FormatError(f"the valuation of {atom!r} names a world beyond the last")
         object.__setattr__(self, "worlds", worlds)
         object.__setattr__(self, "agents", agents)
         object.__setattr__(self, "cells", tuple(cells))
-        object.__setattr__(self, "valuation", tuple(sorted(valuation)))
+        object.__setattr__(self, "valuation", tuple(sorted(valuation.items())))
 
     @classmethod
     def _canonical(cls, worlds, agents, cells, valuation) -> "KripkeModel":
@@ -143,7 +144,14 @@ class KripkeModel:
                     part.append(mask)
             part.extend(1 << i for i in iter_bits(full & ~seen))
             cells.append(part)
-        return KripkeModel(worlds, tuple(agents), tuple(cells), valuation or {})
+        masks = {}
+        for atom, names in dict(valuation or {}).items():
+            names = set(names)
+            unknown = names - bit.keys()
+            if unknown:
+                raise FormatError(f"unknown world {min(unknown)!r} in valuation of {atom!r}")
+            masks[atom] = sum(bit[w] for w in names)
+        return KripkeModel(worlds, tuple(agents), tuple(cells), masks)
 
     @staticmethod
     def from_pairs(worlds, agents, pairs, valuation=None) -> "KripkeModel":
@@ -170,17 +178,6 @@ class KripkeModel:
         return (1 << len(self.worlds)) - 1
 
     @cached_property
-    def _atom_mask(self) -> dict:
-        index = self._index
-        out = {}
-        for atom, worlds in self.valuation:
-            m = 0
-            for w in worlds:
-                m |= 1 << index[w]
-            out[atom] = m
-        return out
-
-    @cached_property
     def _nbr(self) -> list:
         """Per agent, per world index, the mask of that world's class."""
         out = []
@@ -192,11 +189,22 @@ class KripkeModel:
             out.append(row)
         return out
 
-    def atom_worlds(self, atom: str) -> frozenset:
-        for name, worlds in self.valuation:
+    @cached_property
+    def _memo(self) -> dict:
+        """Results derived from this model, so they live exactly as long as
+        it does: satisfaction sets (keyed by formula) and refinements (keyed
+        by tuples), filled by ``EvalContext``, and component decompositions
+        (keyed by agent-name tuples)."""
+        return {}
+
+    def atom_mask(self, atom: str) -> int:
+        for name, mask in self.valuation:
             if name == atom:
-                return worlds
-        return frozenset()
+                return mask
+        return 0
+
+    def atom_worlds(self, atom: str) -> frozenset:
+        return self.world_names(self.atom_mask(atom))
 
     def atom_names(self) -> tuple:
         return tuple(name for name, _ in self.valuation)
@@ -216,6 +224,37 @@ class KripkeModel:
     def world_names(self, mask: int) -> frozenset:
         return _names_of(mask, self.worlds)
 
+    def components(self, names: tuple) -> tuple:
+        """The classes of the reflexive-transitive closure of the union of the
+        named agents' relations, as world masks by lowest world; memoized."""
+        comps = self._memo.get(names)
+        if comps is not None:
+            return comps
+        cell_lists = [self.cells[self._agent_index[a]] for a in names]
+        comps = []
+        unassigned = self._full
+        while unassigned:
+            comp = unassigned & -unassigned
+            changed = True
+            while changed:
+                changed = False
+                for cells in cell_lists:
+                    for cell in cells:
+                        if cell & comp and cell | comp != comp:
+                            comp |= cell
+                            changed = True
+            comps.append(comp)
+            unassigned &= ~comp
+        comps = self._memo[names] = tuple(comps)
+        return comps
+
+    def component(self, names: tuple, world_idx: int) -> int:
+        """The closure class of the world with index ``world_idx``."""
+        for comp in self.components(names):
+            if comp >> world_idx & 1:
+                return comp
+        raise AssertionError("world not covered by component decomposition")
+
     # serialization ----------------------------------------------------------
 
     def to_obj(self) -> dict:
@@ -228,7 +267,7 @@ class KripkeModel:
                 agent: {"partition": [[worlds[i] for i in iter_bits(c)] for c in part]}
                 for agent, part in zip(self.agents, self.cells)
             },
-            "valuation": {atom: sorted(ws) for atom, ws in self.valuation},
+            "valuation": {atom: [worlds[i] for i in iter_bits(m)] for atom, m in self.valuation},
         }
 
 
@@ -247,7 +286,7 @@ class PointedModel:
 # ---------------------------------------------------------------------------
 
 
-def _coalition_names(model: KripkeModel, coalition) -> tuple:
+def coalition_names(model: KripkeModel, coalition) -> tuple:
     """Normalize a Coalition or iterable of names; reject unknown agents."""
     resolve = getattr(coalition, "resolve", None)
     names = resolve(model.agents) if resolve else tuple(sorted(set(coalition)))
@@ -266,7 +305,7 @@ def neighborhood(model: KripkeModel, agent: str, world: str) -> frozenset:
 
 def union_reach(model: KripkeModel, coalition, world: str) -> frozenset:
     """One-step union of the member classes; empty coalition yields the empty set."""
-    names = _coalition_names(model, coalition)
+    names = coalition_names(model, coalition)
     i = model.world_index(world)
     m = 0
     for a in names:
@@ -276,21 +315,8 @@ def union_reach(model: KripkeModel, coalition, world: str) -> frozenset:
 
 def common_closure(model: KripkeModel, coalition, world: str) -> frozenset:
     """Reflexive-transitive closure of the union relation, seeded at ``world``."""
-    return model.world_names(closure_mask(model, _coalition_names(model, coalition), world))
-
-
-def closure_mask(model: KripkeModel, names, world: str) -> int:
-    reach = 1 << model.world_index(world)
-    cell_lists = [model.cells[model._agent_index[a]] for a in names]
-    changed = True
-    while changed:
-        changed = False
-        for cells in cell_lists:
-            for cell in cells:
-                if cell & reach and cell | reach != reach:
-                    reach |= cell
-                    changed = True
-    return reach
+    names = coalition_names(model, coalition)
+    return model.world_names(model.component(names, model.world_index(world)))
 
 
 def exact_profile(model: KripkeModel, w: str, v: str) -> frozenset:

@@ -159,7 +159,9 @@ def sat_bounded(query: SatQuery) -> SatResult:
     for n in range(1, top + 1):
         worlds = tuple(f"s{i}" for i in range(n))
         model_worlds = tuple(sorted(worlds))
+        # Enumerated masks index ``worlds``; a model's bit j is model_worlds[j].
         bit = [1 << model_worlds.index(w) for w in worlds]
+        to_model = [sum(bit[i] for i in iter_bits(m)) for m in range(2 ** n)]
         partitions = [
             tuple(sorted((sum(bit[i] for i in cell) for cell in cells), key=lowest_bit))
             for cells in partitions_as_cells(n)
@@ -177,7 +179,8 @@ def sat_bounded(query: SatQuery) -> SatResult:
                 if any(tuple(on_masks[v] for v in vals) < vals
                        for on_masks in automorphisms):
                     continue
-                model = _build(worlds, model_agents, cells, atoms, vals)
+                model = _build(model_worlds, model_agents, cells, atoms,
+                               [to_model[v] for v in vals])
                 mask = ctx.mask(ctx.intern(model), query.formula)
                 if mask:
                     point = model.worlds[lowest_bit(mask).bit_length() - 1]
@@ -198,16 +201,11 @@ def valid_bounded(formula: sx.Formula, max_worlds: int, **kwargs) -> ValidResult
     return ValidResult("valid-up-to-bound", None, result.models_examined)
 
 
-def _build(worlds, agents, cells, atoms, val_combo) -> KripkeModel:
-    """One candidate: ``cells`` are the frame's classes in canonical form,
-    ``val_combo`` one mask over ``worlds`` per atom."""
-    valuation = {
-        atom: frozenset(worlds[i] for i in iter_bits(bits))
-        for atom, bits in zip(atoms, val_combo)
-    }
-    return KripkeModel._canonical(
-        tuple(sorted(worlds)), agents, cells, tuple(sorted(valuation.items()))
-    )
+def _build(worlds, agents, cells, atoms, masks) -> KripkeModel:
+    """One candidate over the sorted ``worlds``: ``cells`` are the frame's
+    classes in canonical form, ``masks`` one world mask per atom."""
+    valuation = tuple(sorted(dict(zip(atoms, masks)).items()))
+    return KripkeModel._canonical(worlds, agents, cells, valuation)
 
 
 @lru_cache(maxsize=None)

@@ -3,9 +3,11 @@
 Announcement clauses refine the model per evaluated world.  The split a
 refinement performs depends on the world only through its scope class
 (the per-agent classes for local announcements, the closure class for
-global and semi-private ones), so refinements are cached under that
+global and semi-private ones), so refinements are memoized under that
 scope signature and refined models are structurally interned.  That
 sharing is what keeps large nested-announcement queries tractable.
+Satisfaction sets and refinements are memoized on the model they were
+computed for (``KripkeModel._memo``), so they are freed with it.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import syntax as sx
-from .errors import EmptyResult, NotPalFragment, UnknownAgent
-from .model import KripkeModel, PointedModel, lowest_bit, iter_bits
+from .errors import EmptyResult
+from .model import KripkeModel, PointedModel, coalition_names, iter_bits, lowest_bit
 
 
 @dataclass(frozen=True)
@@ -69,23 +71,25 @@ class EvalTrace:
         }
 
 
-class EvalContext:
-    """Memo tables shared across evaluations.
+# Memoized in place of a refinement that split nothing: storing the model
+# under its own memo would make a reference cycle, which only the cyclic
+# garbage collector frees.
+_UNCHANGED = object()
 
-    With ``cache=False`` every satisfaction set and refinement is
-    recomputed; results must be identical either way.  Entries are keyed
-    on ``id(model)``, so every model an entry is stored for stays
-    referenced from ``_pinned``: its id cannot be reused by another model
-    while the entry lives.
+
+class EvalContext:
+    """Structural interning, and the switch for memoization.
+
+    With ``cache=True`` satisfaction sets and refinements are memoized on
+    the model they belong to, and every refined model is interned, so equal
+    models reached by different routes share one memo.  With
+    ``cache=False`` nothing is memoized or interned and everything is
+    recomputed; results must be identical either way.
     """
 
     def __init__(self, cache: bool = True):
         self.cache = cache
         self._interned: dict = {}
-        self._pinned: dict = {}
-        self._sat: dict = {}
-        self._refined: dict = {}
-        self._components: dict = {}
 
     def intern(self, model: KripkeModel) -> KripkeModel:
         if not self.cache:
@@ -95,21 +99,18 @@ class EvalContext:
     # -- satisfaction -------------------------------------------------------
 
     def mask(self, model: KripkeModel, f: sx.Formula) -> int:
-        if self.cache:
-            key = (id(model), f)
-            hit = self._sat.get(key)
-            if hit is not None:
-                return hit
-        out = self._eval(model, f)
-        if self.cache:
-            self._sat[key] = out
-            self._pinned[id(model)] = model
+        if not self.cache:
+            return self._eval(model, f)
+        memo = model._memo
+        out = memo.get(f)
+        if out is None:
+            out = memo[f] = self._eval(model, f)
         return out
 
     def _eval(self, model: KripkeModel, f: sx.Formula) -> int:
         full = model._full
         if isinstance(f, sx.Atom):
-            return model._atom_mask.get(f.name, 0)
+            return model.atom_mask(f.name)
         if isinstance(f, sx.Top):
             return full
         if isinstance(f, sx.Bot):
@@ -140,22 +141,22 @@ class EvalContext:
                     out |= cell
             return out
         if isinstance(f, sx.Everybody):
-            names = self._co(model, f.coalition)
+            names = coalition_names(model, f.coalition)
             sub = self.mask(model, f.sub)
             out = full
             for a in names:
                 out &= self._know(model, a, sub)
             return out
         if isinstance(f, sx.Common):
-            names = self._co(model, f.coalition)
+            names = coalition_names(model, f.coalition)
             sub = self.mask(model, f.sub)
             out = 0
-            for comp in self._component_list(model, names):
+            for comp in model.components(names):
                 if comp & sub == comp:
                     out |= comp
             return out
         if isinstance(f, sx.Distributed):
-            names = self._co(model, f.coalition)
+            names = coalition_names(model, f.coalition)
             sub = self.mask(model, f.sub)
             if not names:
                 return sub
@@ -190,52 +191,10 @@ class EvalContext:
                 out |= cell
         return out
 
-    def _co(self, model: KripkeModel, coalition: sx.Coalition) -> tuple:
-        names = coalition.resolve(model.agents)
-        for a in names:
-            if a not in model._agent_index:
-                raise UnknownAgent(f"unknown agent {a!r}")
-        return names
-
-    # -- components ----------------------------------------------------------
-
-    def _component_list(self, model: KripkeModel, names) -> list:
-        key = (id(model), names)
-        if self.cache:
-            hit = self._components.get(key)
-            if hit is not None:
-                return hit
-        cell_lists = [model.cells[model._agent_index[a]] for a in names]
-        comps = []
-        unassigned = model._full
-        while unassigned:
-            low = unassigned & -unassigned
-            comp = low
-            changed = True
-            while changed:
-                changed = False
-                for cells in cell_lists:
-                    for cell in cells:
-                        if cell & comp and cell | comp != comp:
-                            comp |= cell
-                            changed = True
-            comps.append(comp)
-            unassigned &= ~comp
-        if self.cache:
-            self._components[key] = comps
-            self._pinned[id(model)] = model
-        return comps
-
-    def _component_of(self, model: KripkeModel, names, world_idx: int) -> int:
-        for comp in self._component_list(model, names):
-            if comp >> world_idx & 1:
-                return comp
-        raise AssertionError("world not covered by component decomposition")
-
     # -- refinements ---------------------------------------------------------
 
     def _announce(self, model, announced, coalition, body, kind):
-        names = self._co(model, coalition)
+        names = coalition_names(model, coalition)
         psi = self.mask(model, announced)
         cont = 0
         for i in iter_bits(psi):
@@ -262,37 +221,31 @@ class EvalContext:
             nbr, index = model._nbr, model._agent_index
             sig = tuple(nbr[index[a]][world_idx] for a in names)
         elif kind == "global":
-            sig = self._component_of(model, names, world_idx)
+            sig = model.component(names, world_idx)
         elif kind == "semiprivate":
-            sig = self._component_of(model, tuple(model.agents), world_idx)
+            sig = model.component(model.agents, world_idx)
         else:
             raise ValueError(f"unknown refinement kind {kind!r}")
-        key = (id(model), kind, names, announced, sig)
-        if self.cache:
-            hit = self._refined.get(key)
-            if hit is not None:
-                return hit
-        if kind == "local":
-            splits = dict(zip(names, sig))
-        else:
-            splits = {a: sig for a in names}
-        refined = self.intern(_split_model(model, splits, psi))
-        if self.cache:
-            self._refined[key] = refined
-            self._pinned[id(model)] = model
-        return refined
+
+        def build():
+            splits = dict(zip(names, sig)) if kind == "local" else dict.fromkeys(names, sig)
+            return _split_model(model, splits, psi)
+
+        return self._memoized(model, (kind, names, announced, sig), build)
 
     def _pal_model(self, model, announced, psi) -> KripkeModel:
-        key = (id(model), "pal", (), announced, ())
-        if self.cache:
-            hit = self._refined.get(key)
-            if hit is not None:
-                return hit
-        refined = self.intern(_restrict_model(model, psi))
-        if self.cache:
-            self._refined[key] = refined
-            self._pinned[id(model)] = model
-        return refined
+        return self._memoized(model, ("pal", announced), lambda: _restrict_model(model, psi))
+
+    def _memoized(self, model, key, build) -> KripkeModel:
+        """The interned model ``build()`` makes from ``model``, memoized on
+        ``model`` under ``key``."""
+        if not self.cache:
+            return build()
+        hit = model._memo.get(key)
+        if hit is None:
+            hit = self.intern(build())
+            model._memo[key] = _UNCHANGED if hit is model else hit
+        return model if hit is _UNCHANGED else hit
 
 
 def _split_model(model: KripkeModel, splits: dict, psi: int) -> KripkeModel:
@@ -328,23 +281,24 @@ def _restrict_model(model: KripkeModel, keep: int) -> KripkeModel:
     """Submodel on the kept worlds (relations and valuation restricted)."""
     kept = list(iter_bits(keep))
     moved = {1 << i: 1 << j for j, i in enumerate(kept)}
-    cells = []
-    for part in model.cells:
-        squeezed = []
-        for cell in part:
-            cell &= keep
-            if cell:
-                m = 0
-                while cell:
-                    low = cell & -cell
-                    m |= moved[low]
-                    cell ^= low
-                squeezed.append(m)
-        cells.append(tuple(sorted(squeezed, key=lowest_bit)))
+
+    def squeeze(mask: int) -> int:
+        """``mask & keep`` renumbered over the kept worlds."""
+        mask &= keep
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= moved[low]
+            mask ^= low
+        return out
+
+    cells = tuple(
+        tuple(sorted((squeeze(cell) for cell in part if cell & keep), key=lowest_bit))
+        for part in model.cells
+    )
     worlds = tuple(model.worlds[i] for i in kept)
-    kept_names = frozenset(worlds)
-    valuation = tuple((atom, ws & kept_names) for atom, ws in model.valuation)
-    return KripkeModel._canonical(worlds, model.agents, tuple(cells), valuation)
+    valuation = tuple((atom, squeeze(mask)) for atom, mask in model.valuation)
+    return KripkeModel._canonical(worlds, model.agents, cells, valuation)
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +342,12 @@ def _trace(ctx: EvalContext, model: KripkeModel, point: str, f: sx.Formula) -> l
     if isinstance(f, (sx.AnnLocal, sx.AnnGlobal, sx.DiaLocal, sx.DiaGlobal)):
         kind = "local" if isinstance(f, (sx.AnnLocal, sx.DiaLocal)) else "global"
         nodes = _trace(ctx, model, point, f.announced)
-        names = ctx._co(model, f.coalition)
+        names = coalition_names(model, f.coalition)
         psi = ctx.mask(model, f.announced)
         i = model.world_index(point)
         if psi >> i & 1:
             refined = ctx.refined(model, i, f.announced, psi, names, kind)
-            key = _pretty_key(model, kind, names, f.announced, i, ctx)
+            key = _pretty_key(model, kind, names, f.announced, i)
             nodes.append(
                 TraceNode(key, refined, tuple(_trace(ctx, refined, point, f.sub)))
             )
@@ -414,18 +368,16 @@ def _trace(ctx: EvalContext, model: KripkeModel, point: str, f: sx.Formula) -> l
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def _pretty_key(model, kind, names, announced, world_idx, ctx) -> RefinementKey:
+def _pretty_key(model, kind, names, announced, world_idx) -> RefinementKey:
     if kind == "local":
         scope = tuple(
             (a, tuple(sorted(model.world_names(model._nbr[model._agent_index[a]][world_idx]))))
             for a in names
         )
     elif kind == "global":
-        scope = tuple(sorted(model.world_names(ctx._component_of(model, names, world_idx))))
+        scope = tuple(sorted(model.world_names(model.component(names, world_idx))))
     else:
-        scope = tuple(
-            sorted(model.world_names(ctx._component_of(model, tuple(model.agents), world_idx)))
-        )
+        scope = tuple(sorted(model.world_names(model.component(model.agents, world_idx))))
     return RefinementKey(kind, names, announced, scope)
 
 
@@ -459,9 +411,7 @@ def refine_semiprivate(
 def _refine(model, world, announced, coalition, kind, context) -> KripkeModel:
     ctx = context or EvalContext()
     model = ctx.intern(model)
-    if not isinstance(coalition, sx.Coalition):
-        coalition = sx.Coalition(frozenset(coalition))
-    names = ctx._co(model, coalition)
+    names = coalition_names(model, coalition)
     i = model.world_index(world)
     psi = ctx.mask(model, announced)
     return ctx.refined(model, i, announced, psi, names, kind)
@@ -487,17 +437,6 @@ def check_pal_equiv(
     """Evaluate a public-announcement formula twice: natively (world-deleting
     restriction) and through its global-announcement translation.  The two
     booleans returned must agree."""
-    _require_pal(f)
+    translated = sx.translate_pal(f)  # NotPalFragment outside the fragment
     ctx = context or EvalContext()
-    native = check(pointed, f, context=ctx)
-    translated = check(pointed, sx.translate_pal(f), context=ctx)
-    return native, translated
-
-
-def _require_pal(f: sx.Formula) -> None:
-    if isinstance(f, (sx.AnnLocal, sx.AnnGlobal, sx.DiaLocal, sx.DiaGlobal)):
-        raise NotPalFragment(
-            f"not in the public-announcement fragment: {sx.print_formula(f)}"
-        )
-    for c in sx.children(f):
-        _require_pal(c)
+    return check(pointed, f, context=ctx), check(pointed, translated, context=ctx)

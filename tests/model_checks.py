@@ -1,9 +1,14 @@
-"""Test-side views of a model's partitions: a derived pair view and the
+"""Test-side views of a model's masks: derived pair and name views and the
 invariants every constructed model must satisfy."""
 
 
 def class_names(model, cell) -> list:
     return [w for i, w in enumerate(model.worlds) if cell >> i & 1]
+
+
+def valuation_names(model) -> tuple:
+    """The valuation as sorted (atom, frozenset of world names) entries."""
+    return tuple((atom, frozenset(class_names(model, mask))) for atom, mask in model.valuation)
 
 
 def pairs_of(model) -> dict:
@@ -34,8 +39,8 @@ def assert_canonical(model):
         lows = [cell & -cell for cell in part]
         assert lows == sorted(lows)
     assert [atom for atom, _ in model.valuation] == sorted({a for a, _ in model.valuation})
-    for _, worlds in model.valuation:
-        assert worlds <= set(model.worlds)
+    for _, mask in model.valuation:
+        assert mask & ~full == 0
 
 
 def assert_refines(refined, original):

@@ -23,7 +23,7 @@ def to_plain(model):
         for cell in part:
             members = frozenset(class_names(model, cell))
             nbr[agent].update(dict.fromkeys(members, members))
-    val = {atom: set(ws) for atom, ws in model.valuation}
+    val = {atom: set(class_names(model, mask)) for atom, mask in model.valuation}
     return {"worlds": list(model.worlds), "nbr": nbr, "val": val}
 
 

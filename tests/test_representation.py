@@ -24,7 +24,13 @@ from glal.semantics import (
     refine_semiprivate,
 )
 from glal.syntax import parse
-from model_checks import assert_canonical, assert_refines, class_names, pairs_of
+from model_checks import (
+    assert_canonical,
+    assert_refines,
+    class_names,
+    pairs_of,
+    valuation_names,
+)
 
 
 def naive_split(model, splits, psi):
@@ -53,7 +59,7 @@ def naive_restrict(model, keep):
         a: frozenset((u, v) for (u, v) in rel[a] if u in kept and v in kept)
         for a in model.agents
     }
-    valuation = tuple((atom, ws & kept) for atom, ws in model.valuation)
+    valuation = tuple((atom, ws & kept) for atom, ws in valuation_names(model))
     return tuple(sorted(kept)), relations, valuation
 
 
@@ -90,7 +96,7 @@ def test_restrict_matches_pair_oracle():
         worlds, relations, valuation = naive_restrict(m, keep)
         assert restricted.worlds == worlds
         assert pairs_of(restricted) == relations
-        assert restricted.valuation == valuation
+        assert valuation_names(restricted) == valuation
 
 
 def test_every_constructed_model_is_canonical():
@@ -126,13 +132,13 @@ def test_pairs_and_partitions_load_to_the_same_model():
 
 def test_direct_constructor_normalizes_and_checks():
     m = KripkeModel(("u", "v", "w"), ("b", "a"), ((0b110, 0b001), (0b111,)),
-                    {"p": ["w", "u"]})
+                    {"q": 0, "p": 0b101})
     assert m.agents == ("a", "b")
     assert m.cells == ((0b111,), (0b001, 0b110))
-    assert m.valuation == (("p", frozenset({"u", "w"})),)
+    assert m.valuation == (("p", 0b101), ("q", 0))
     assert m == KripkeModel.from_partitions(
         ["w", "v", "u"], ["a", "b"], {"a": [["u", "v", "w"]], "b": [["v", "w"]]},
-        {"p": ["u", "w"]},
+        {"p": ["u", "w"], "q": []},
     )
     bad = [
         (("u", "v"), ("a",), ((0b01,),), {}),  # v uncovered
@@ -143,7 +149,8 @@ def test_direct_constructor_normalizes_and_checks():
         (("u", "u"), ("a",), ((0b11,),), {}),
         (("u",), ("a", "a"), ((0b1,), (0b1,)), {}),
         (("u",), ("a",), (), {}),
-        (("u",), ("a",), ((0b1,),), {"p": ["x"]}),
+        (("u",), ("a",), ((0b1,),), {"p": 0b10}),  # a world beyond the last
+        (("u",), ("a",), ((0b1,),), {"p": -1}),
     ]
     for args in bad:
         with pytest.raises(FormatError):

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -273,6 +275,23 @@ def test_shared_context_never_answers_for_a_dead_model():
         m = random_model(rng, rng.randint(1, 4), ["a", "b"], ["p", "q"])
         f = random_formula(rng, 3, ["p", "q"], ["a", "b"])
         assert shared.mask(m, f) == EvalContext(cache=False).mask(m, f)
+
+
+def test_memo_makes_no_reference_cycles():
+    # The announcement holds everywhere, so its refinement splits nothing and
+    # is the model itself; the memo must not store the model under itself.
+    # With the cyclic collector off, the model must die with its last reference.
+    f = parse("[m_r | !m_r]-{r} (K{g} m_r | !K{g} m_r)")
+    gc.disable()
+    try:
+        m = muddy(3)
+        ctx = EvalContext()
+        assert check(PointedModel(m, "100"), f, context=ctx)
+        dead = weakref.ref(m)
+        del m, ctx
+        assert dead() is None
+    finally:
+        gc.enable()
 
 
 def test_trace_records_nested_refinements():
