@@ -72,13 +72,13 @@ def _forth_fails(left: _Side, right: _Side, w, w2, kind, related_fwd):
     """First unmatched move from (w, w2) left-to-right, or None.
 
     related_fwd maps a left world to the right worlds the candidate pairs it
-    with.  Modal moves are per agent; plusminus matches exact profiles
-    (including the empty one); collective matches inclusive profiles.
+    with.  Modal moves are per agent, in sorted order; plusminus matches
+    exact profiles (including the empty one); collective inclusive ones.
     """
     if kind == "modal":
         for v in left.worlds:
             prof = left.profile[(w, v)]
-            for a in prof:
+            for a in sorted(prof):
                 if not any(
                     a in right.profile[(w2, v2)] for v2 in related_fwd.get(v, ())
                 ):
@@ -317,10 +317,16 @@ def distinguishing_formula_search(
     spans every one-step refinement of the base models by (negated) atoms;
     formulas only distinguishable after deeper refinement sequences may be
     pruned.  Whatever is returned has been verified on the two points.
+
+    Related points are answered at once: exact-profile bisimilarity
+    preserves every GLAL formula, and collective bisimilarity every
+    epistemic one (modal bisimilarity does not preserve D).
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     ops = _ALL_OPS if operators == "all" else _EPISTEMIC_OPS
+    if pointed_bisim(p, q, "plusminus" if ops is _ALL_OPS else "collective").related:
+        return None
     ctx = EvalContext()
     pm = ctx.intern(p.model)
     qm = ctx.intern(q.model)

@@ -13,10 +13,10 @@ back, and ``from_pairs`` and the ``"pairs"`` file form check pairs with
 ``validate`` (reflexivity, symmetry, transitivity) before they become
 classes.
 
-Everything derived from a model lives on it: lazy index views, the
-component decompositions, and the memo of satisfaction sets and
-refinements that ``semantics.EvalContext`` fills.  They are freed with
-the model.
+A model is a plain value: its fields and a few lazy index views over
+them.  Results derived while evaluating formulas (satisfaction sets,
+refinements, component decompositions) are memoized by
+``semantics.EvalContext`` and live as long as that context.
 """
 
 from __future__ import annotations
@@ -189,14 +189,6 @@ class KripkeModel:
             out.append(row)
         return out
 
-    @cached_property
-    def _memo(self) -> dict:
-        """Results derived from this model, so they live exactly as long as
-        it does: satisfaction sets (keyed by formula) and refinements (keyed
-        by tuples), filled by ``EvalContext``, and component decompositions
-        (keyed by agent-name tuples)."""
-        return {}
-
     def atom_mask(self, atom: str) -> int:
         for name, mask in self.valuation:
             if name == atom:
@@ -226,10 +218,7 @@ class KripkeModel:
 
     def components(self, names: tuple) -> tuple:
         """The classes of the reflexive-transitive closure of the union of the
-        named agents' relations, as world masks by lowest world; memoized."""
-        comps = self._memo.get(names)
-        if comps is not None:
-            return comps
+        named agents' relations, as world masks by lowest world."""
         cell_lists = [self.cells[self._agent_index[a]] for a in names]
         comps = []
         unassigned = self._full
@@ -245,15 +234,7 @@ class KripkeModel:
                             changed = True
             comps.append(comp)
             unassigned &= ~comp
-        comps = self._memo[names] = tuple(comps)
-        return comps
-
-    def component(self, names: tuple, world_idx: int) -> int:
-        """The closure class of the world with index ``world_idx``."""
-        for comp in self.components(names):
-            if comp >> world_idx & 1:
-                return comp
-        raise AssertionError("world not covered by component decomposition")
+        return tuple(comps)
 
     # serialization ----------------------------------------------------------
 
@@ -316,7 +297,8 @@ def union_reach(model: KripkeModel, coalition, world: str) -> frozenset:
 def common_closure(model: KripkeModel, coalition, world: str) -> frozenset:
     """Reflexive-transitive closure of the union relation, seeded at ``world``."""
     names = coalition_names(model, coalition)
-    return model.world_names(model.component(names, model.world_index(world)))
+    i = model.world_index(world)
+    return model.world_names(next(c for c in model.components(names) if c >> i & 1))
 
 
 def exact_profile(model: KripkeModel, w: str, v: str) -> frozenset:

@@ -82,7 +82,6 @@ class SatQuery:
     atoms: tuple | None = None
     allow_large: bool = False
     budget: int = DEFAULT_BUDGET
-    prune_isomorphic: bool = True
 
     def __post_init__(self):
         if self.max_worlds < 1:
@@ -145,7 +144,7 @@ def sat_bounded(query: SatQuery) -> SatResult:
         )
     top = query.max_worlds
     entries = factorial(top) * (bell_number(top) + 2 ** top)
-    if query.prune_isomorphic and entries > query.budget:
+    if entries > query.budget:
         raise BoundExceeded(
             f"relabeling tables of {entries} entries for {top} worlds exceed "
             f"budget {query.budget}"
@@ -166,7 +165,7 @@ def sat_bounded(query: SatQuery) -> SatResult:
             tuple(sorted((sum(bit[i] for i in cell) for cell in cells), key=lowest_bit))
             for cells in partitions_as_cells(n)
         ]
-        relabelings = _relabelings(n) if query.prune_isomorphic else ()
+        relabelings = _relabelings(n)
         per_frame = 2 ** (n * len(atoms))
         for frame in product(range(len(partitions)), repeat=len(agents)):
             automorphisms = _frame_automorphisms(frame, relabelings)

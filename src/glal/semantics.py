@@ -6,8 +6,8 @@ refinement performs depends on the world only through its scope class
 global and semi-private ones), so refinements are memoized under that
 scope signature and refined models are structurally interned.  That
 sharing is what keeps large nested-announcement queries tractable.
-Satisfaction sets and refinements are memoized on the model they were
-computed for (``KripkeModel._memo``), so they are freed with it.
+Satisfaction sets, refinements and component decompositions are memoized
+per model in the ``EvalContext`` that computed them, and freed with it.
 """
 
 from __future__ import annotations
@@ -71,37 +71,37 @@ class EvalTrace:
         }
 
 
-# Memoized in place of a refinement that split nothing: storing the model
-# under its own memo would make a reference cycle, which only the cyclic
-# garbage collector frees.
-_UNCHANGED = object()
-
-
 class EvalContext:
-    """Structural interning, and the switch for memoization.
+    """Structural interning, and the memo of each interned model.
 
-    With ``cache=True`` satisfaction sets and refinements are memoized on
-    the model they belong to, and every refined model is interned, so equal
-    models reached by different routes share one memo.  With
-    ``cache=False`` nothing is memoized or interned and everything is
-    recomputed; results must be identical either way.
+    With ``cache=True`` equal models reached by different routes are one
+    object with one memo of satisfaction sets, refinements and components;
+    the interning table keeps them alive, so the ids keying the memos are
+    never reused.  With ``cache=False`` nothing is memoized or interned and
+    everything is recomputed; results must be identical either way.
     """
 
     def __init__(self, cache: bool = True):
         self.cache = cache
         self._interned: dict = {}
+        self._memos: dict = {}  # id(interned model) -> its memo
 
     def intern(self, model: KripkeModel) -> KripkeModel:
         if not self.cache:
             return model
-        return self._interned.setdefault(model, model)
+        canon = self._interned.setdefault(model, model)
+        self._memos.setdefault(id(canon), {})
+        return canon
 
     # -- satisfaction -------------------------------------------------------
 
     def mask(self, model: KripkeModel, f: sx.Formula) -> int:
         if not self.cache:
             return self._eval(model, f)
-        memo = model._memo
+        try:
+            memo = self._memos[id(model)]
+        except KeyError:  # not interned here
+            return self.mask(self.intern(model), f)
         out = memo.get(f)
         if out is None:
             out = memo[f] = self._eval(model, f)
@@ -151,7 +151,7 @@ class EvalContext:
             names = coalition_names(model, f.coalition)
             sub = self.mask(model, f.sub)
             out = 0
-            for comp in model.components(names):
+            for comp in self._components(model, names):
                 if comp & sub == comp:
                     out |= comp
             return out
@@ -217,13 +217,14 @@ class EvalContext:
         return psi, cont
 
     def refined(self, model, world_idx, announced, psi, names, kind) -> KripkeModel:
+        """The ``kind`` refinement at a world of ``model``, which must be interned here."""
         if kind == "local":
             nbr, index = model._nbr, model._agent_index
             sig = tuple(nbr[index[a]][world_idx] for a in names)
         elif kind == "global":
-            sig = model.component(names, world_idx)
+            sig = self._component(model, names, world_idx)
         elif kind == "semiprivate":
-            sig = model.component(model.agents, world_idx)
+            sig = self._component(model, model.agents, world_idx)
         else:
             raise ValueError(f"unknown refinement kind {kind!r}")
 
@@ -237,15 +238,31 @@ class EvalContext:
         return self._memoized(model, ("pal", announced), lambda: _restrict_model(model, psi))
 
     def _memoized(self, model, key, build) -> KripkeModel:
-        """The interned model ``build()`` makes from ``model``, memoized on
-        ``model`` under ``key``."""
+        """The interned model ``build()`` makes from ``model``, memoized in
+        the memo of ``model`` (which must be interned here) under ``key``."""
         if not self.cache:
             return build()
-        hit = model._memo.get(key)
+        memo = self._memos[id(model)]
+        hit = memo.get(key)
         if hit is None:
-            hit = self.intern(build())
-            model._memo[key] = _UNCHANGED if hit is model else hit
-        return model if hit is _UNCHANGED else hit
+            hit = memo[key] = self.intern(build())
+        return hit
+
+    def _components(self, model, names) -> tuple:
+        """``model.components(names)``, memoized under ``names``, a tuple of
+        agent names and so unlike any formula or refinement key."""
+        if not self.cache:
+            return model.components(names)
+        memo = self._memos[id(model)]
+        comps = memo.get(names)
+        if comps is None:
+            comps = memo[names] = model.components(names)
+        return comps
+
+    def _component(self, model, names, world_idx) -> int:
+        for comp in self._components(model, names):
+            if comp >> world_idx & 1:
+                return comp
 
 
 def _split_model(model: KripkeModel, splits: dict, psi: int) -> KripkeModel:
@@ -347,7 +364,7 @@ def _trace(ctx: EvalContext, model: KripkeModel, point: str, f: sx.Formula) -> l
         i = model.world_index(point)
         if psi >> i & 1:
             refined = ctx.refined(model, i, f.announced, psi, names, kind)
-            key = _pretty_key(model, kind, names, f.announced, i)
+            key = _pretty_key(ctx, model, kind, names, f.announced, i)
             nodes.append(
                 TraceNode(key, refined, tuple(_trace(ctx, refined, point, f.sub)))
             )
@@ -368,16 +385,16 @@ def _trace(ctx: EvalContext, model: KripkeModel, point: str, f: sx.Formula) -> l
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def _pretty_key(model, kind, names, announced, world_idx) -> RefinementKey:
+def _pretty_key(ctx, model, kind, names, announced, world_idx) -> RefinementKey:
     if kind == "local":
         scope = tuple(
             (a, tuple(sorted(model.world_names(model._nbr[model._agent_index[a]][world_idx]))))
             for a in names
         )
     elif kind == "global":
-        scope = tuple(sorted(model.world_names(model.component(names, world_idx))))
+        scope = tuple(sorted(model.world_names(ctx._component(model, names, world_idx))))
     else:
-        scope = tuple(sorted(model.world_names(model.component(model.agents, world_idx))))
+        scope = tuple(sorted(model.world_names(ctx._component(model, model.agents, world_idx))))
     return RefinementKey(kind, names, announced, scope)
 
 

@@ -8,6 +8,7 @@ byte-identical reports.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -256,9 +257,13 @@ def build_checks(seed: int = 2024, n_models: int = 150) -> list:
 
     add("bisimulation.distinguishing-formula", "bisimulation", distinguisher)
 
+    @functools.cache
+    def corpus():
+        return run_validity_corpus(seed, n_models)
+
     def validity_thunk(law):
         def thunk():
-            failures, _ = _corpus_cache(seed, n_models)
+            failures, _ = corpus()
             return "0 counterexamples", f"{failures[law]} counterexamples"
         return thunk
 
@@ -266,7 +271,7 @@ def build_checks(seed: int = 2024, n_models: int = 150) -> list:
         add(f"validity.{law}", "validity", validity_thunk(law))
 
     def necessitation():
-        _, (bodies, kept) = _corpus_cache(seed, n_models)
+        _, (bodies, kept) = corpus()
         return f"{bodies}/{bodies} preserved", f"{kept}/{bodies} preserved"
 
     add("validity.necessitation", "validity", necessitation)
@@ -306,16 +311,6 @@ def build_checks(seed: int = 2024, n_models: int = 150) -> list:
     add("nonvalidity.axiom-b-fails", "nonvalidity", axiom_b)
 
     return checks
-
-
-_CORPUS = {}
-
-
-def _corpus_cache(seed, n_models):
-    key = (seed, n_models)
-    if key not in _CORPUS:
-        _CORPUS[key] = run_validity_corpus(seed, n_models)
-    return _CORPUS[key]
 
 
 def run_suite(name_filter: str | None = None, seed: int = 2024, n_models: int = 150) -> list:

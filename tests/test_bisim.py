@@ -108,6 +108,29 @@ def test_distinguishing_formula_identical_models():
     ) is None
 
 
+def test_distinguishing_search_exhausts_its_depth_on_unrelated_points():
+    # Every a-class and b-class of the right model pairs a p-world with a
+    # !p-world, as the single class of the left model does, so the points
+    # are modally bisimilar; but a and b jointly rule out every p-world only
+    # on the right.  Nothing of depth 2 tells them apart.
+    left = KripkeModel.from_partitions(["v", "w"], ["a", "b"],
+                                       {"a": [["v", "w"]], "b": [["v", "w"]]}, {"p": ["v"]})
+    right = KripkeModel.from_partitions(
+        ["v1", "v2", "w1", "w2"], ["a", "b"],
+        {"a": [["w1", "v1"], ["w2", "v2"]], "b": [["w1", "v2"], ["w2", "v1"]]},
+        {"p": ["v1", "v2"]},
+    )
+    p, q = PointedModel(left, "w"), PointedModel(right, "w1")
+    assert pointed_bisim(p, q, "modal").related
+    assert not pointed_bisim(p, q, "collective").related
+    assert not pointed_bisim(p, q, "plusminus").related
+    for operators in ("epistemic", "all"):
+        assert distinguishing_formula_search(p, q, 2, operators=operators) is None
+        f = distinguishing_formula_search(p, q, 3, operators=operators)
+        assert f is not None and depth(f) == 3
+        assert check(p, f) and not check(q, f)
+
+
 def test_distinguishing_epistemic_for_modal_inequivalent():
     a = KripkeModel.from_partitions(["u1", "u2"], ["a"], {"a": [["u1", "u2"]]},
                                     {"p": ["u1"]})

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from glal import cli
-from glal.model import save
+from glal.model import KripkeModel, save
 from glal.scenarios import bit_channel, muddy
 from glal.syntax import MAX_DEPTH
 
@@ -149,6 +153,28 @@ def test_bisim_subcommand(capsys, channels):
                        "--left", f"{n}:w1", "--right", f"{np}:w1", "--total")
     assert code == 0
     assert ["w1", "w1"] in json.loads(out)["witness"]
+
+
+def test_bisim_fail_detail_does_not_depend_on_hash_seed(tmp_path):
+    # Every agent links v and w on the left, and v has no match on the right,
+    # so each agent is a missing modal move; the least one is reported.
+    agents = ["a", "b", "c", "d"]
+    left = KripkeModel.from_partitions(["v", "w"], agents,
+                                       {a: [["v", "w"]] for a in agents}, {"p": ["w"]})
+    right = KripkeModel.from_partitions(["w"], agents, {}, {"p": ["w"]})
+    (tmp_path / "L.json").write_text(save(left))
+    (tmp_path / "R.json").write_text(save(right))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for seed in ("0", "1", "2", "3", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "glal.cli", "bisim", "--kind", "m",
+             "--left", "L.json:w", "--right", "R.json:w"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        reason = json.loads(proc.stdout)["fail_reason"]
+        assert reason == {"condition": "Forth", "detail": ["v", "a"], "pair": ["w", "w"]}
 
 
 def test_bisim_distinguish_flag(capsys, channels):

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -277,10 +278,33 @@ def test_shared_context_never_answers_for_a_dead_model():
         assert shared.mask(m, f) == EvalContext(cache=False).mask(m, f)
 
 
+def test_calls_on_a_long_lived_model_retain_nothing():
+    # Each check() makes its own context; what it derived must go with it
+    # and not accumulate on the model the caller keeps.
+    rng = random.Random(0)
+    m = muddy(4)
+    agents, atoms = list(m.agents), list(m.atom_names())
+    check(PointedModel(m, m.worlds[0]), parse("m_r"))  # build the lazy index views
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(200):
+            f = random_formula(rng, 4, atoms, agents)
+            check(PointedModel(m, rng.choice(m.worlds)), f)
+        del f
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
+
+
 def test_memo_makes_no_reference_cycles():
     # The announcement holds everywhere, so its refinement splits nothing and
-    # is the model itself; the memo must not store the model under itself.
-    # With the cyclic collector off, the model must die with its last reference.
+    # is the model itself, which the context's memo then holds under that
+    # model.  With the cyclic collector off, the model must die with its last
+    # reference.
     f = parse("[m_r | !m_r]-{r} (K{g} m_r | !K{g} m_r)")
     gc.disable()
     try:
