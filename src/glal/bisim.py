@@ -5,14 +5,24 @@ atom-agreeing pairs and repeatedly drop pairs violating Forth/Back (and,
 for the exact-profile kind, Reach against the current candidate) until a
 full pass deletes nothing.  Pairs are scanned in lexicographic order, so
 deletions and failure reasons are reproducible.
+
+The checks run on the models' own representation.  A pair is (left world
+index, right world index); worlds are sorted, so index order is name order.
+While a pass runs, the candidate relation is one mask of related worlds per
+world on each side.  The agents linking world i to world j form a profile,
+an int mask over the sorted union of both models' agents: exact-profile
+matching is ``==``, collective matching is ``prof & ~prof2 == 0``.  Names
+appear only in ``FailReason``, in witnesses and in ``max_bisim``'s result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from . import syntax as sx
-from .model import KripkeModel, PointedModel
+from .model import KripkeModel, PointedModel, iter_bits, lowest_bit
 from .semantics import EvalContext
 
 KINDS = ("modal", "plusminus", "collective")
@@ -45,65 +55,58 @@ class BisimResult:
         return out
 
 
-class _Side:
-    """Per-model tables used by the condition checks."""
-
-    def __init__(self, model: KripkeModel):
-        self.model = model
-        self.worlds = model.worlds
-        nbr = model._nbr
-        self.profile = {}
-        for i, w in enumerate(self.worlds):
-            for j, v in enumerate(self.worlds):
-                self.profile[(w, v)] = frozenset(
-                    a for a, k in model._agent_index.items() if nbr[k][i] >> j & 1
-                )
-
-    def val(self, w: str) -> frozenset:
-        i = self.model._index[w]
-        return frozenset(atom for atom, mask in self.model.valuation if mask >> i & 1)
+def _tables(model: KripkeModel, agents: tuple) -> tuple:
+    """Each world's sorted atoms, and ``prof[i][j]``: the agents linking
+    world i to world j, as a mask with one bit per entry of ``agents``."""
+    n = len(model.worlds)
+    prof = [[0] * n for _ in range(n)]
+    for agent, part in zip(model.agents, model.cells):
+        bit = 1 << agents.index(agent)
+        for cell in part:
+            for i in iter_bits(cell):
+                for j in iter_bits(cell):
+                    prof[i][j] |= bit
+    return [tuple(a for a, mask in model.valuation if mask >> i & 1) for i in range(n)], prof
 
 
-def _atoms_agree(left: _Side, right: _Side, w: str, w2: str) -> bool:
-    return left.val(w) == right.val(w2)
-
-
-def _forth_fails(left: _Side, right: _Side, w, w2, kind, related_fwd):
+def _forth_fails(prof, prof2, w, w2, kind, fwd):
     """First unmatched move from (w, w2) left-to-right, or None.
 
-    related_fwd maps a left world to the right worlds the candidate pairs it
-    with.  Modal moves are per agent, in sorted order; plusminus matches
-    exact profiles (including the empty one); collective inclusive ones.
+    ``fwd[v]`` is the mask of right worlds the candidate pairs with left
+    world v.  A failure is (v, agent mask).  Modal moves are per agent and
+    the lowest unmatched one is reported; plusminus matches exact profiles
+    (including the empty one), collective inclusive ones.
     """
-    if kind == "modal":
-        for v in left.worlds:
-            prof = left.profile[(w, v)]
-            for a in sorted(prof):
-                if not any(
-                    a in right.profile[(w2, v2)] for v2 in related_fwd.get(v, ())
-                ):
-                    return (v, a)
-        return None
-    for v in left.worlds:
-        prof = left.profile[(w, v)]
-        if kind == "collective" and not prof:
+    row2 = prof2[w2]
+    for v, p in enumerate(prof[w]):
+        if not p and kind != "plusminus":
             continue
-        ok = False
-        for v2 in related_fwd.get(v, ()):
-            prof2 = right.profile[(w2, v2)]
-            if prof2 == prof if kind == "plusminus" else prof <= prof2:
-                ok = True
-                break
-        if not ok:
-            return (v, tuple(sorted(prof)))
+        related = [row2[v2] for v2 in iter_bits(fwd[v])]
+        if kind == "modal":
+            missing = p & ~reduce(or_, related, 0)
+            if missing:
+                return (v, lowest_bit(missing))
+        elif not any(p2 == p if kind == "plusminus" else p & ~p2 == 0 for p2 in related):
+            return (v, p)
     return None
 
 
-def _reach_fails(left: _Side, right: _Side, w, w2, pairs):
-    for (v, v2) in pairs:
-        if left.profile[(w, v)] != right.profile[(w2, v2)]:
-            return (v, v2)
-    return None
+def _fail_reason(left, right, agents, kind, pair, condition, detail=()) -> FailReason:
+    """Name an index-level failure: a Forth/Back detail is (world, agent
+    mask) on the moving side, a Reach detail a conflicting pair."""
+    w, w2 = pair
+    if condition == "Reach" and detail:
+        detail = (left.worlds[detail[0]], right.worlds[detail[1]])
+    elif detail:
+        v, mask = detail
+        names = tuple(agents[k] for k in iter_bits(mask))
+        detail = ((left if condition == "Forth" else right).worlds[v],
+                  names[0] if kind == "modal" else names)
+    return FailReason((left.worlds[w], right.worlds[w2]), condition, detail)
+
+
+def _named(left, right, pairs) -> frozenset:
+    return frozenset((left.worlds[w], right.worlds[w2]) for (w, w2) in pairs)
 
 
 def max_bisim(left: KripkeModel, right: KripkeModel, kind: str):
@@ -118,75 +121,72 @@ def max_bisim(left: KripkeModel, right: KripkeModel, kind: str):
     the Forth/Back fixpoint (see _resolve), and the returned set is the
     union of the per-pair verdicts.
     """
-    ls, rs, fixpoint, reasons = _prepare(left, right, kind)
+    _, lp, rp, fixpoint, _ = _prepare(left, right, kind)
     if kind != "plusminus":
-        return frozenset(fixpoint)
+        return _named(left, right, fixpoint)
     related = set()
     for pair in sorted(fixpoint):
         if pair in related:
             continue  # a found bisimulation vouches for all its pairs
-        witness = _resolve(ls, rs, frozenset(fixpoint), frozenset([pair]))
+        witness = _resolve(lp, rp, fixpoint, frozenset([pair]))
         if witness is not None:
             related |= witness
-    return frozenset(related)
+    return _named(left, right, related)
 
 
 def _prepare(left, right, kind):
     if kind not in KINDS:
         raise ValueError(f"unknown bisimulation kind {kind!r}")
-    ls, rs = _Side(left), _Side(right)
-    reasons = {}
-    current = set()
-    for w in left.worlds:
-        for w2 in right.worlds:
-            if _atoms_agree(ls, rs, w, w2):
-                current.add((w, w2))
-            else:
-                reasons[(w, w2)] = FailReason((w, w2), "Atoms")
-    current = _forthback_fixpoint(ls, rs, kind, current, reasons)
-    return ls, rs, frozenset(current), reasons
+    agents = tuple(sorted(set(left.agents) | set(right.agents)))
+    (lval, lp), (rval, rp) = _tables(left, agents), _tables(right, agents)
+    reasons = {}  # pairs failing on atoms have none
+    current = {
+        (w, w2) for w, atoms in enumerate(lval) for w2, atoms2 in enumerate(rval) if atoms == atoms2
+    }
+    current = _forthback_fixpoint(lp, rp, kind, current, reasons)
+    return agents, lp, rp, frozenset(current), reasons
 
 
-def _forthback_fixpoint(ls, rs, kind, current, reasons):
+def _forthback_fixpoint(lp, rp, kind, current, reasons):
     """Delete Forth/Back violators to fixpoint (monotone, hence sound)."""
     while True:
         deleted = False
-        fwd, bwd = {}, {}
+        fwd, bwd = [0] * len(lp), [0] * len(rp)
         for (v, v2) in current:
-            fwd.setdefault(v, set()).add(v2)
-            bwd.setdefault(v2, set()).add(v)
+            fwd[v] |= 1 << v2
+            bwd[v2] |= 1 << v
         for pair in sorted(current):
             w, w2 = pair
-            bad = _forth_fails(ls, rs, w, w2, kind, fwd)
+            bad = _forth_fails(lp, rp, w, w2, kind, fwd)
             if bad is not None:
-                reasons.setdefault(pair, FailReason(pair, "Forth", bad))
+                reasons[pair] = ("Forth", bad)
             else:
-                bad = _forth_fails(rs, ls, w2, w, kind, bwd)
+                bad = _forth_fails(rp, lp, w2, w, kind, bwd)
                 if bad is not None:
-                    reasons.setdefault(pair, FailReason(pair, "Back", bad))
-            if pair in reasons and pair in current:
+                    reasons[pair] = ("Back", bad)
+            if bad is not None:
                 current.discard(pair)
-                fwd.get(w, set()).discard(w2)
-                bwd.get(w2, set()).discard(w)
+                fwd[w] &= ~(1 << w2)
+                bwd[w2] &= ~(1 << w)
                 deleted = True
         if not deleted:
             return current
 
 
-def _conflict(ls, rs, x, y) -> bool:
+def _conflict(lp, rp, x, y) -> bool:
     """Reach incompatibility: the two pairs cannot coexist in one relation."""
     (w, w2), (v, v2) = x, y
-    return ls.profile[(w, v)] != rs.profile[(w2, v2)]
+    return lp[w][v] != rp[w2][v2]
 
 
-def _first_conflict_with(ls, rs, pair, candidate):
+def _first_conflict_with(lp, rp, pair, candidate):
     for other in sorted(candidate):
-        if _conflict(ls, rs, pair, other):
+        if _conflict(lp, rp, pair, other):
             return other
     return None
 
 
-def _resolve(ls, rs, candidate, pinned):
+def _resolve(lp, rp, candidate, pinned):
     """Largest-found conflict-free Forth/Back-closed subset keeping ``pinned``.
 
     Pairs conflicting with a pinned pair are deleted outright; remaining
@@ -197,17 +197,17 @@ def _resolve(ls, rs, candidate, pinned):
         return None
     for a in sorted(pinned):
         for b in sorted(pinned):
-            if _conflict(ls, rs, a, b):
+            if _conflict(lp, rp, a, b):
                 return None
     while True:
         forced = {
             other
             for p in pinned
             for other in candidate
-            if other not in pinned and _conflict(ls, rs, p, other)
+            if other not in pinned and _conflict(lp, rp, p, other)
         }
         if forced:
-            trimmed = _forthback_fixpoint(ls, rs, "plusminus", set(candidate - forced), {})
+            trimmed = _forthback_fixpoint(lp, rp, "plusminus", set(candidate - forced), {})
             if not pinned <= trimmed:
                 return None
             candidate = frozenset(trimmed)
@@ -216,7 +216,7 @@ def _resolve(ls, rs, candidate, pinned):
         conflict = None
         for i, x in enumerate(ordered):
             for y in ordered[i + 1:]:
-                if _conflict(ls, rs, x, y):
+                if _conflict(lp, rp, x, y):
                     conflict = (x, y)
                     break
             if conflict:
@@ -224,8 +224,8 @@ def _resolve(ls, rs, candidate, pinned):
         if conflict is None:
             return candidate
         for drop in conflict:
-            trimmed = _forthback_fixpoint(ls, rs, "plusminus", set(candidate) - {drop}, {})
-            result = _resolve(ls, rs, frozenset(trimmed), pinned)
+            trimmed = _forthback_fixpoint(lp, rp, "plusminus", set(candidate) - {drop}, {})
+            result = _resolve(lp, rp, frozenset(trimmed), pinned)
             if result is not None:
                 return result
         return None
@@ -233,27 +233,28 @@ def _resolve(ls, rs, candidate, pinned):
 
 def verify_bisim(left: KripkeModel, right: KripkeModel, relation, kind: str) -> list:
     """All condition violations of a claimed witness relation."""
-    ls, rs = _Side(left), _Side(right)
-    relation = set(relation)
-    fwd, bwd = {}, {}
-    for (v, v2) in relation:
-        fwd.setdefault(v, set()).add(v2)
-        bwd.setdefault(v2, set()).add(v)
+    agents = tuple(sorted(set(left.agents) | set(right.agents)))
+    (lval, lp), (rval, rp) = _tables(left, agents), _tables(right, agents)
+    pairs = sorted({(left.world_index(w), right.world_index(w2)) for (w, w2) in relation})
+    fwd, bwd = [0] * len(lp), [0] * len(rp)
+    for (v, v2) in pairs:
+        fwd[v] |= 1 << v2
+        bwd[v2] |= 1 << v
     out = []
-    for pair in sorted(relation):
+    for pair in pairs:
         w, w2 = pair
-        if not _atoms_agree(ls, rs, w, w2):
-            out.append(FailReason(pair, "Atoms"))
-        bad = _forth_fails(ls, rs, w, w2, kind, fwd)
+        found = [] if lval[w] == rval[w2] else [("Atoms",)]
+        bad = _forth_fails(lp, rp, w, w2, kind, fwd)
         if bad is not None:
-            out.append(FailReason(pair, "Forth", bad))
-        bad = _forth_fails(rs, ls, w2, w, kind, bwd)
+            found.append(("Forth", bad))
+        bad = _forth_fails(rp, lp, w2, w, kind, bwd)
         if bad is not None:
-            out.append(FailReason(pair, "Back", bad))
+            found.append(("Back", bad))
         if kind == "plusminus":
-            bad = _reach_fails(ls, rs, w, w2, sorted(relation))
+            bad = _first_conflict_with(lp, rp, pair, pairs)
             if bad is not None:
-                out.append(FailReason(pair, "Reach", bad))
+                found.append(("Reach", bad))
+        out.extend(_fail_reason(left, right, agents, kind, pair, *f) for f in found)
     return out
 
 
@@ -265,34 +266,29 @@ def pointed_bisim(
     With ``total=True`` the model-level conditions are also required: every
     world on either side must be related to some world on the other.
     """
-    pair = (p.point, q.point)
-    ls, rs, fixpoint, reasons = _prepare(p.model, q.model, kind)
+    left, right = p.model, q.model
+    pair = (left.world_index(p.point), right.world_index(q.point))
+    agents, lp, rp, fixpoint, reasons = _prepare(left, right, kind)
     if pair not in fixpoint:
-        reason = reasons.get(pair, FailReason(pair, "Atoms"))
+        reason = _fail_reason(left, right, agents, kind, pair, *reasons.get(pair, ("Atoms",)))
         return BisimResult(False, kind, fail_reason=reason)
     if kind == "plusminus":
-        witness = _resolve(ls, rs, fixpoint, frozenset([pair]))
+        witness = _resolve(lp, rp, fixpoint, frozenset([pair]))
         if witness is None:
-            conflict = _first_conflict_with(ls, rs, pair, fixpoint)
-            return BisimResult(
-                False, kind, fail_reason=FailReason(pair, "Reach", conflict or ())
-            )
+            conflict = _first_conflict_with(lp, rp, pair, fixpoint)
+            reason = _fail_reason(left, right, agents, kind, pair, "Reach", conflict or ())
+            return BisimResult(False, kind, fail_reason=reason)
     else:
         witness = fixpoint
     if total:
-        matched_left = {w for (w, _) in witness}
-        matched_right = {w2 for (_, w2) in witness}
-        for w in p.model.worlds:
-            if w not in matched_left:
-                return BisimResult(
-                    False, kind, fail_reason=FailReason((w, None), "Forth", ("unmatched",))
-                )
-        for w2 in q.model.worlds:
-            if w2 not in matched_right:
-                return BisimResult(
-                    False, kind, fail_reason=FailReason((None, w2), "Back", ("unmatched",))
-                )
-    return BisimResult(True, kind, witness=witness)
+        for k, model, condition in ((0, left, "Forth"), (1, right, "Back")):
+            unmatched = set(range(len(model.worlds))) - {x[k] for x in witness}
+            if unmatched:
+                w = model.worlds[min(unmatched)]
+                pair = (w, None) if k == 0 else (None, w)
+                reason = FailReason(pair, condition, ("unmatched",))
+                return BisimResult(False, kind, fail_reason=reason)
+    return BisimResult(True, kind, witness=_named(left, right, witness))
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +320,8 @@ def distinguishing_formula_search(
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    if depth == 0:
+        return None  # atoms and constants have depth 1
     ops = _ALL_OPS if operators == "all" else _EPISTEMIC_OPS
     if pointed_bisim(p, q, "plusminus" if ops is _ALL_OPS else "collective").related:
         return None

@@ -184,7 +184,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("suite", help="run the named regression suite")
     p.add_argument("--filter", default=None, help="substring or group name")
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--models", type=int, default=150,
+    p.add_argument("--models", type=_at_least(1), default=150,
                    help="size of the validity corpus")
     p.add_argument("--pretty", action="store_true")
 
@@ -281,6 +281,8 @@ def _run(args) -> int:
 
     if args.command == "suite":
         results = run_suite(args.filter, seed=args.seed, n_models=args.models)
+        if not results:
+            raise _UsageError(f"--filter {args.filter!r} matches no check")
         for r in results:
             sys.stderr.write(f"{r.name}: {r.seconds:.3f}s\n")
         payload = {
@@ -299,14 +301,11 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        return _run(build_parser().parse_args(argv))
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EX_USAGE
-    try:
-        return _run(args)
     except FormulaSyntaxError as exc:
         sys.stderr.write(f"formula error: {exc}\n")
         return EX_FORMULA

@@ -1,6 +1,8 @@
 import random
 
+import bisim_reference as reference
 from glal.bisim import (
+    KINDS,
     distinguishing_formula_search,
     max_bisim,
     pointed_bisim,
@@ -81,6 +83,57 @@ def test_plusminus_implies_modal_and_collective():
                 assert res.witness <= coll
 
 
+def fuzzed_pairs(rng, count):
+    """Twin extensions, alternating with unrelated models whose agent and
+    atom sets may differ from the left model's."""
+    for i in range(count):
+        agents = rng.choice([["a"], ["a", "b"], ["a", "b", "c"]])
+        left = random_model(rng, rng.randint(1, 4), agents, rng.choice([["p"], ["p", "q"]]))
+        if i % 2:
+            yield left, duplicate_worlds(rng, left, copies=rng.randint(1, 2))[0]
+        else:
+            agents = rng.choice([["a"], ["a", "b"], ["b", "c"]])
+            yield left, random_model(rng, rng.randint(1, 4), agents, rng.choice([["p"], ["q"], []]))
+
+
+def hexagon_and_triangles():
+    """A six-cycle of a-, b- and c-links against two triangles of them.
+
+    Every world looks alike locally, so the Forth/Back fixpoint keeps each
+    hexagon world paired with its counterparts in both triangles; but an
+    exact-profile bisimulation would be an isomorphism, so Reach fails.
+    """
+    hexagon = KripkeModel.from_partitions(
+        [f"h{i}" for i in range(6)], ["a", "b", "c"],
+        {"a": [["h0", "h1"], ["h3", "h4"]], "b": [["h1", "h2"], ["h4", "h5"]],
+         "c": [["h2", "h3"], ["h5", "h0"]]})
+    triangles = KripkeModel.from_partitions(
+        ["t0", "t1", "t2", "u0", "u1", "u2"], ["a", "b", "c"],
+        {"a": [["t0", "t1"], ["u0", "u1"]], "b": [["t1", "t2"], ["u1", "u2"]],
+         "c": [["t2", "t0"], ["u2", "u0"]]})
+    return hexagon, triangles
+
+
+def test_engine_matches_name_based_reference():
+    rng = random.Random(2024)
+    outcomes = set()
+    for left, right in [hexagon_and_triangles(), *fuzzed_pairs(rng, 50)]:
+        pairs = [(w, w2) for w in left.worlds for w2 in right.worlds]
+        for kind in KINDS:
+            assert max_bisim(left, right, kind) == reference.max_bisim(left, right, kind)
+            for w, w2 in pairs:
+                p, q = PointedModel(left, w), PointedModel(right, w2)
+                for total in (False, True):
+                    got = pointed_bisim(p, q, kind, total).to_obj()
+                    assert got == reference.pointed_bisim(p, q, kind, total).to_obj()
+                    outcomes.add(got["fail_reason"]["condition"] if "fail_reason" in got else kind)
+            for _ in range(3):
+                relation = rng.sample(pairs, rng.randint(0, len(pairs)))
+                assert verify_bisim(left, right, relation, kind) == reference.verify_bisim(
+                    left, right, relation, kind)
+    assert outcomes == {"Atoms", "Forth", "Back", "Reach"} | set(KINDS)
+
+
 def test_total_flag_detects_unmatched_world():
     left = KripkeModel.from_partitions(["w"], ["a"], {}, {"p": ["w"]})
     right = KripkeModel.from_partitions(
@@ -95,10 +148,17 @@ def test_total_flag_detects_unmatched_world():
 
 def test_distinguishing_formula_on_channel():
     p, q = channel_points()
-    f = distinguishing_formula_search(p, q, 5)
-    assert f is not None
-    assert depth(f) <= 5
-    assert check(p, f) and not check(q, f)
+    # Nprime's w2 differs from N's w1 on an atom: depth 1 separates them,
+    # and nothing has depth 0.
+    other = PointedModel(bit_channel("Nprime"), "w2")
+    for right, bound in ((q, 5), (other, 1), (other, 0)):
+        f = distinguishing_formula_search(p, right, bound)
+        if bound == 0:
+            assert f is None
+            continue
+        assert f is not None
+        assert depth(f) <= bound
+        assert check(p, f) and not check(right, f)
 
 
 def test_distinguishing_formula_identical_models():

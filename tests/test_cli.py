@@ -133,6 +133,14 @@ def test_scenario_zero_children_is_usage_error(capsys):
     assert code == 64 and out == "" and "--n" in err
 
 
+def test_suite_empty_corpus_or_filter_is_usage_error(capsys):
+    # Each would otherwise check nothing and still exit 0.
+    for argv, message in ((("--models", "0"), "--models"), (("--models", "-1"), "--models"),
+                          (("--filter", "nosuch"), "'nosuch' matches no check")):
+        code, out, err = run(capsys, "suite", *argv)
+        assert code == 64 and out == "" and message in err
+
+
 def test_bisim_negative_depth_is_usage_error(capsys, channels):
     n, np = channels
     code, out, err = run(capsys, "bisim", "--kind", "m", "--left", f"{n}:w1",
