@@ -295,10 +295,6 @@ def pointed_bisim(
 # Distinguishing-formula search
 # ---------------------------------------------------------------------------
 
-_EPISTEMIC_OPS = ("not", "and", "know", "kw", "dual", "common", "everybody", "distributed")
-_ALL_OPS = _EPISTEMIC_OPS + ("ann_local", "ann_global")
-
-
 def distinguishing_formula_search(
     p: PointedModel, q: PointedModel, depth: int, operators: str = "all"
 ):
@@ -322,8 +318,8 @@ def distinguishing_formula_search(
         raise ValueError("depth must be nonnegative")
     if depth == 0:
         return None  # atoms and constants have depth 1
-    ops = _ALL_OPS if operators == "all" else _EPISTEMIC_OPS
-    if pointed_bisim(p, q, "plusminus" if ops is _ALL_OPS else "collective").related:
+    announcements = operators == "all"
+    if pointed_bisim(p, q, "plusminus" if announcements else "collective").related:
         return None
     ctx = EvalContext()
     pm = ctx.intern(p.model)
@@ -335,73 +331,45 @@ def distinguishing_formula_search(
     coalitions = [sx.Coalition.of(*combo) for combo in _nonempty_subsets(agents)]
 
     probes = [pm, qm]
-    if "ann_local" in ops:
+    if announcements:
         probes.extend(_refinement_probes(ctx, (pm, qm), atoms, coalitions))
 
-    def signature(f):
-        return tuple(ctx.mask(m, f) for m in probes)
-
-    def distinguishes(sig):
-        return bool(sig[0] >> pi & 1) and not sig[1] >> qi & 1
-
-    seen = {}
-    reps = []  # representatives in generation order
-
-    def consider(f):
-        sig = signature(f)
-        if distinguishes(sig):
-            return f
-        if sig not in seen:
-            seen[sig] = f
-            reps.append(f)
-        return None
-
-    for name in atoms:
-        hit = consider(sx.Atom(name))
-        if hit is not None:
-            return hit
-    for const in (sx.TOP, sx.BOT):
-        hit = consider(const)
-        if hit is not None:
-            return hit
-
-    for level in range(2, depth + 1):
-        base = list(reps)
-        for f in base:
-            candidates = []
-            if "not" in ops:
-                candidates.append(sx.Not(f))
-            if "know" in ops:
-                candidates.extend(sx.Know(a, f) for a in agents)
-            if "kw" in ops:
-                candidates.extend(sx.KnowWhether(a, f) for a in agents)
-            if "dual" in ops:
-                candidates.extend(sx.Dual(a, f) for a in agents)
-            if "common" in ops:
-                candidates.extend(sx.Common(co, f) for co in coalitions)
-            if "everybody" in ops:
-                candidates.extend(sx.Everybody(co, f) for co in coalitions)
-            if "distributed" in ops:
-                candidates.extend(sx.Distributed(co, f) for co in coalitions)
-            for cand in candidates:
-                hit = consider(cand)
-                if hit is not None:
-                    return hit
-        if "and" in ops:
-            for f in base:
-                for g in base:
-                    hit = consider(sx.And(f, g))
-                    if hit is not None:
-                        return hit
-        if "ann_local" in ops:
-            for psi in base:
-                for chi in base:
-                    for co in coalitions:
-                        for cls in (sx.AnnLocal, sx.AnnGlobal):
-                            hit = consider(cls(psi, co, chi))
-                            if hit is not None:
-                                return hit
+    seen = set()
+    reps = []  # one formula per signature, in generation order
+    leaves = [sx.Atom(name) for name in atoms] + [sx.TOP, sx.BOT]
+    for level in range(1, depth + 1):
+        layer = leaves if level == 1 else _applications(
+            list(reps), agents, coalitions, announcements
+        )
+        for f in layer:
+            sig = tuple(ctx.mask(m, f) for m in probes)
+            if sig[0] >> pi & 1 and not sig[1] >> qi & 1:
+                return f
+            if sig not in seen:
+                seen.add(sig)
+                reps.append(f)
     return None
+
+
+def _applications(base, agents, coalitions, announcements):
+    """Every operator applied to the formulas of ``base``, in search order."""
+    for f in base:
+        yield sx.Not(f)
+        for cls in sx.AGENT_OPS:
+            for a in agents:
+                yield cls(a, f)
+        for cls in sx.COALITION_OPS:
+            for co in coalitions:
+                yield cls(co, f)
+    for f in base:
+        for g in base:
+            yield sx.And(f, g)
+    if announcements:
+        for psi in base:
+            for chi in base:
+                for co in coalitions:
+                    for cls in (sx.AnnLocal, sx.AnnGlobal):
+                        yield cls(psi, co, chi)
 
 
 def _refinement_probes(ctx: EvalContext, models, atoms, coalitions) -> list:

@@ -76,38 +76,23 @@ def random_formula(
     def go(budget):
         if budget <= 1 or rng.random() < 0.25:
             return leaf()
-        ops = ["not", "and", "or", "implies", "iff"]
+        ops = [sx.Not, *sx.BINARY]
         if fragment != "propositional" and agents:
-            ops += ["know", "kw", "dual", "common", "everybody"]
+            ops += [*sx.AGENT_OPS, sx.Common, sx.Everybody]
         if fragment == "pal":
-            ops += ["pal", "pal"]
+            ops += [sx.PalAnn, sx.PalAnn]
         if fragment == "full" and agents:
-            ops += ["distributed", "ann_local", "ann_global", "dia_local", "dia_global"]
-        op = rng.choice(ops)
-        if op == "not":
+            ops += [sx.Distributed, *sx.ANNOUNCE_OPS]
+        cls = rng.choice(ops)
+        if cls is sx.Not:
             return sx.Not(go(budget - 1))
-        if op in ("and", "or", "implies", "iff"):
-            cls = {"and": sx.And, "or": sx.Or, "implies": sx.Implies, "iff": sx.Iff}[op]
+        if cls in sx.BINARY or cls is sx.PalAnn:
             return cls(go(budget - 1), go(budget - 1))
-        if op in ("know", "kw", "dual"):
-            cls = {"know": sx.Know, "kw": sx.KnowWhether, "dual": sx.Dual}[op]
+        if cls in sx.AGENT_OPS:
             return cls(rng.choice(agents), go(budget - 1))
-        if op in ("common", "everybody", "distributed"):
-            cls = {
-                "common": sx.Common,
-                "everybody": sx.Everybody,
-                "distributed": sx.Distributed,
-            }[op]
-            return cls(random_coalition(rng, agents, allow_empty=op != "distributed"),
+        if cls in sx.COALITION_OPS:
+            return cls(random_coalition(rng, agents, allow_empty=cls is not sx.Distributed),
                        go(budget - 1))
-        if op == "pal":
-            return sx.PalAnn(go(budget - 1), go(budget - 1))
-        cls = {
-            "ann_local": sx.AnnLocal,
-            "ann_global": sx.AnnGlobal,
-            "dia_local": sx.DiaLocal,
-            "dia_global": sx.DiaGlobal,
-        }[op]
         return cls(go(budget - 1), random_coalition(rng, agents, allow_empty=True),
                    go(budget - 1))
 

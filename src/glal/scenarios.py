@@ -16,7 +16,7 @@ def muddy_agent_names(n: int) -> list:
     return [_DEFAULT_NAMES[i] if i < 3 else f"c{i + 1}" for i in range(n)]
 
 
-def muddy(n: int, agent_names=None, atom_prefix: str = "m_") -> KripkeModel:
+def muddy(n: int) -> KripkeModel:
     """The n-children puzzle start: bit-vector worlds, one flip per agent.
 
     World names are the bit strings themselves ("100" = first child muddy);
@@ -26,9 +26,7 @@ def muddy(n: int, agent_names=None, atom_prefix: str = "m_") -> KripkeModel:
         raise ValueError("need at least one child")
     if n > MAX_CHILDREN:
         raise BoundExceeded(f"{n} children means 2^{n} worlds; capped at {MAX_CHILDREN}")
-    agents = list(agent_names) if agent_names else muddy_agent_names(n)
-    if len(agents) != n:
-        raise ValueError("need exactly one agent name per child")
+    agents = muddy_agent_names(n)
     worlds = [format(i, f"0{n}b") for i in range(2 ** n)]
     partitions = {
         agent: [
@@ -39,30 +37,30 @@ def muddy(n: int, agent_names=None, atom_prefix: str = "m_") -> KripkeModel:
         for i, agent in enumerate(agents)
     }
     valuation = {
-        f"{atom_prefix}{agent}": [w for w in worlds if w[i] == "1"]
+        muddy_atom(agent).name: [w for w in worlds if w[i] == "1"]
         for i, agent in enumerate(agents)
     }
     return KripkeModel.from_partitions(worlds, agents, partitions, valuation)
 
 
-def muddy_atom(agent: str, atom_prefix: str = "m_") -> Atom:
-    return Atom(f"{atom_prefix}{agent}")
+def muddy_atom(agent: str) -> Atom:
+    return Atom(f"m_{agent}")
 
 
-def at_least_one_muddy(model: KripkeModel, atom_prefix: str = "m_") -> Formula:
+def at_least_one_muddy(model: KripkeModel) -> Formula:
     """The father's fact: some child is muddy (disjunction over the agents)."""
     out = None
     for agent in model.agents:
-        atom = muddy_atom(agent, atom_prefix)
+        atom = muddy_atom(agent)
         out = atom if out is None else Or(out, atom)
     return out
 
 
-def nobody_knows_own_state(model: KripkeModel, atom_prefix: str = "m_") -> Formula:
+def nobody_knows_own_state(model: KripkeModel) -> Formula:
     """No child knows whether she is muddy (conjunction over the agents)."""
     out = None
     for agent in model.agents:
-        conjunct = Not(KnowWhether(agent, muddy_atom(agent, atom_prefix)))
+        conjunct = Not(KnowWhether(agent, muddy_atom(agent)))
         out = conjunct if out is None else And(out, conjunct)
     return out
 

@@ -74,21 +74,16 @@ class EvalTrace:
 class EvalContext:
     """Structural interning, and the memo of each interned model.
 
-    With ``cache=True`` equal models reached by different routes are one
-    object with one memo of satisfaction sets, refinements and components;
-    the interning table keeps them alive, so the ids keying the memos are
-    never reused.  With ``cache=False`` nothing is memoized or interned and
-    everything is recomputed; results must be identical either way.
+    Equal models reached by different routes are one object with one memo
+    of satisfaction sets, refinements and components; the interning table
+    keeps them alive, so the ids keying the memos are never reused.
     """
 
-    def __init__(self, cache: bool = True):
-        self.cache = cache
+    def __init__(self):
         self._interned: dict = {}
         self._memos: dict = {}  # id(interned model) -> its memo
 
     def intern(self, model: KripkeModel) -> KripkeModel:
-        if not self.cache:
-            return model
         canon = self._interned.setdefault(model, model)
         self._memos.setdefault(id(canon), {})
         return canon
@@ -96,8 +91,6 @@ class EvalContext:
     # -- satisfaction -------------------------------------------------------
 
     def mask(self, model: KripkeModel, f: sx.Formula) -> int:
-        if not self.cache:
-            return self._eval(model, f)
         try:
             memo = self._memos[id(model)]
         except KeyError:  # not interned here
@@ -210,23 +203,15 @@ class EvalContext:
         refined = self._pal_model(model, announced, psi)
         sub = self.mask(refined, body)
         cont = 0
-        for i in iter_bits(psi):
-            j = refined.world_index(model.worlds[i])
+        # The restriction keeps world order: its j-th world is psi's j-th.
+        for j, i in enumerate(iter_bits(psi)):
             if sub >> j & 1:
                 cont |= 1 << i
         return psi, cont
 
     def refined(self, model, world_idx, announced, psi, names, kind) -> KripkeModel:
         """The ``kind`` refinement at a world of ``model``, which must be interned here."""
-        if kind == "local":
-            nbr, index = model._nbr, model._agent_index
-            sig = tuple(nbr[index[a]][world_idx] for a in names)
-        elif kind == "global":
-            sig = self._component(model, names, world_idx)
-        elif kind == "semiprivate":
-            sig = self._component(model, model.agents, world_idx)
-        else:
-            raise ValueError(f"unknown refinement kind {kind!r}")
+        sig = self._scope(model, kind, names, world_idx)
 
         def build():
             splits = dict(zip(names, sig)) if kind == "local" else dict.fromkeys(names, sig)
@@ -234,14 +219,24 @@ class EvalContext:
 
         return self._memoized(model, (kind, names, announced, sig), build)
 
+    def _scope(self, model, kind, names, world_idx):
+        """What a ``kind`` refinement at the world splits: the tuple of the
+        members' own classes (local), or one closure class as a mask."""
+        if kind == "local":
+            nbr, index = model._nbr, model._agent_index
+            return tuple(nbr[index[a]][world_idx] for a in names)
+        if kind == "global":
+            return self._component(model, names, world_idx)
+        if kind == "semiprivate":
+            return self._component(model, model.agents, world_idx)
+        raise ValueError(f"unknown refinement kind {kind!r}")
+
     def _pal_model(self, model, announced, psi) -> KripkeModel:
         return self._memoized(model, ("pal", announced), lambda: _restrict_model(model, psi))
 
     def _memoized(self, model, key, build) -> KripkeModel:
         """The interned model ``build()`` makes from ``model``, memoized in
         the memo of ``model`` (which must be interned here) under ``key``."""
-        if not self.cache:
-            return build()
         memo = self._memos[id(model)]
         hit = memo.get(key)
         if hit is None:
@@ -251,8 +246,6 @@ class EvalContext:
     def _components(self, model, names) -> tuple:
         """``model.components(names)``, memoized under ``names``, a tuple of
         agent names and so unlike any formula or refinement key."""
-        if not self.cache:
-            return model.components(names)
         memo = self._memos[id(model)]
         comps = memo.get(names)
         if comps is None:
@@ -386,16 +379,12 @@ def _trace(ctx: EvalContext, model: KripkeModel, point: str, f: sx.Formula) -> l
 
 
 def _pretty_key(ctx, model, kind, names, announced, world_idx) -> RefinementKey:
+    scope = ctx._scope(model, kind, names, world_idx)
     if kind == "local":
-        scope = tuple(
-            (a, tuple(sorted(model.world_names(model._nbr[model._agent_index[a]][world_idx]))))
-            for a in names
-        )
-    elif kind == "global":
-        scope = tuple(sorted(model.world_names(ctx._component(model, names, world_idx))))
+        pretty = tuple((a, tuple(sorted(model.world_names(m)))) for a, m in zip(names, scope))
     else:
-        scope = tuple(sorted(model.world_names(ctx._component(model, model.agents, world_idx))))
-    return RefinementKey(kind, names, announced, scope)
+        pretty = tuple(sorted(model.world_names(scope)))
+    return RefinementKey(kind, names, announced, pretty)
 
 
 # -- refinement constructors -------------------------------------------------

@@ -17,7 +17,7 @@ from .bisim import distinguishing_formula_search, max_bisim, pointed_bisim
 from .fuzz import random_coalition, random_formula, random_model
 from .model import PointedModel
 from .sat import SatQuery, sat_bounded, valid_bounded
-from .semantics import EvalContext, check
+from .semantics import EvalContext, check, sat_set
 from .scenarios import at_least_one_muddy, bit_channel, muddy, nobody_knows_own_state
 from .syntax import (
     And,
@@ -145,7 +145,7 @@ def run_validity_corpus(seed: int, n_models: int, context: EvalContext | None = 
         models.append(random_model(rng, rng.randint(2, 5), agents, ["p", "q"]))
     for model in models:
         for name, law in law_instances(rng, model.agents):
-            if _sat(ctx, model, law) != frozenset(model.worlds):
+            if sat_set(model, law, context=ctx) != frozenset(model.worlds):
                 failures[name] += 1
 
     # Necessitation: a body valid over the whole corpus stays valid under
@@ -156,7 +156,7 @@ def run_validity_corpus(seed: int, n_models: int, context: EvalContext | None = 
     compatible = [m for m in models if "a" in m.agents]
     valid_bodies = [
         body for body in pool
-        if all(_sat(ctx, m, body) == frozenset(m.worlds) for m in compatible)
+        if all(sat_set(m, body, context=ctx) == frozenset(m.worlds) for m in compatible)
     ]
     announced_still_valid = 0
     for body in valid_bodies:
@@ -165,17 +165,12 @@ def run_validity_corpus(seed: int, n_models: int, context: EvalContext | None = 
             AnnGlobal(Atom("p"), Coalition.of("a"), body),
         ]
         if all(
-            _sat(ctx, m, boxed) == frozenset(m.worlds)
+            sat_set(m, boxed, context=ctx) == frozenset(m.worlds)
             for m in compatible
             for boxed in boxes
         ):
             announced_still_valid += 1
     return failures, (len(valid_bodies), announced_still_valid)
-
-
-def _sat(ctx, model, f):
-    model = ctx.intern(model)
-    return model.world_names(ctx.mask(model, f))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +211,7 @@ def build_checks(seed: int = 2024, n_models: int = 150) -> list:
 
     def no_common_anywhere():
         f = parse(f"[{a}]-{{r,g,b}} C{{r,g,b}} {a}")
-        holds = _sat(ctx, cube, f)
+        holds = sat_set(cube, f, context=ctx)
         return "only 000", "only 000" if holds == frozenset(["000"]) else f"holds at {sorted(holds)}"
 
     add("example1.local-common-fails-everywhere", "example1", no_common_anywhere)

@@ -20,11 +20,19 @@ K/Kw/M take exactly one agent.  An operator head (``K{`` etc.) is an
 identifier immediately followed by ``{``; whitespace in between is a
 syntax error.  ``*`` in agent position is the everyone placeholder
 produced by the public-announcement translation.
+
+Each operator is one frozen dataclass; its fields annotated ``Formula``
+are its subformulas, which ``children`` and ``_rebuild`` read.  A new
+operator needs its node class, a parser rule, a printer clause and an
+evaluator clause (``EvalContext._eval``); a derived one also needs an
+``expand_derived`` clause.  The formula generators in ``fuzz`` and
+``bisim`` build it once it joins an operator group below or their own
+class lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from .errors import FormulaSyntaxError, NotPalFragment, UnknownOperator
 
@@ -198,27 +206,36 @@ class PalAnn(Formula):
 TOP = Top()
 BOT = Bot()
 
-_BINARY = (And, Or, Implies, Iff)
-_AGENT_OPS = (Know, KnowWhether, Dual)
-_COALITION_OPS = (Common, Everybody, Distributed)
-_ANNOUNCE_OPS = (AnnLocal, AnnGlobal, DiaLocal, DiaGlobal)
+# Operator groups: node classes built alike (same labels beside their
+# subformulas).  The formula generators in fuzz and bisim draw from these.
+BINARY = (And, Or, Implies, Iff)
+AGENT_OPS = (Know, KnowWhether, Dual)
+COALITION_OPS = (Common, Everybody, Distributed)
+ANNOUNCE_OPS = (AnnLocal, AnnGlobal, DiaLocal, DiaGlobal)
+
+# Each node class's subformula fields, left to right.  Under postponed
+# evaluation an annotation is the string written in the class body.
+_SUBFORMULAS = {
+    cls: tuple(field.name for field in fields(cls) if field.type == "Formula")
+    for cls in Formula.__subclasses__()
+}
+
+
+def _subformula_fields(f: Formula) -> tuple:
+    try:
+        return _SUBFORMULAS[type(f)]
+    except KeyError:
+        raise TypeError(f"not a formula node: {f!r}") from None
 
 
 def children(f: Formula) -> tuple:
     """Immediate subformulas of a node, left to right."""
-    if isinstance(f, (Atom, Top, Bot)):
-        return ()
-    if isinstance(f, Not):
-        return (f.sub,)
-    if isinstance(f, _BINARY):
-        return (f.left, f.right)
-    if isinstance(f, _AGENT_OPS + _COALITION_OPS):
-        return (f.sub,)
-    if isinstance(f, _ANNOUNCE_OPS):
-        return (f.announced, f.sub)
-    if isinstance(f, PalAnn):
-        return (f.announced, f.sub)
-    raise TypeError(f"not a formula node: {f!r}")
+    return tuple(getattr(f, name) for name in _subformula_fields(f))
+
+
+def _rebuild(f: Formula, subs) -> Formula:
+    """Copy a node with fresh subformulas (same kind and labels)."""
+    return replace(f, **dict(zip(_subformula_fields(f), subs)))
 
 
 def size(f: Formula) -> int:
@@ -249,9 +266,9 @@ def agents(f: Formula) -> frozenset:
     out = set()
 
     def walk(g):
-        if isinstance(g, _AGENT_OPS):
+        if isinstance(g, AGENT_OPS):
             out.add(g.agent)
-        elif isinstance(g, _COALITION_OPS + _ANNOUNCE_OPS):
+        elif isinstance(g, COALITION_OPS + ANNOUNCE_OPS):
             if not g.coalition.everyone:
                 out.update(g.coalition.members)
         for c in children(g):
@@ -575,13 +592,13 @@ def print_formula(f: Formula) -> str:
         return "false"
     if isinstance(f, Not):
         return f"!({print_formula(f.sub)})"
-    if isinstance(f, _BINARY):
+    if isinstance(f, BINARY):
         glyph = _BINARY_GLYPH[type(f)]
         return f"({print_formula(f.left)}) {glyph} ({print_formula(f.right)})"
-    if isinstance(f, _AGENT_OPS):
+    if isinstance(f, AGENT_OPS):
         glyph = _AGENT_GLYPH[type(f)]
         return f"{glyph}{{{f.agent}}} ({print_formula(f.sub)})"
-    if isinstance(f, _COALITION_OPS):
+    if isinstance(f, COALITION_OPS):
         glyph = _COALITION_GLYPH[type(f)]
         return f"{glyph}{{{f.coalition}}} ({print_formula(f.sub)})"
     if isinstance(f, (AnnLocal, AnnGlobal)):
@@ -610,30 +627,11 @@ def translate_pal(f: Formula) -> Formula:
     """
     if isinstance(f, PalAnn):
         return AnnGlobal(translate_pal(f.announced), EVERYONE, translate_pal(f.sub))
-    if isinstance(f, _ANNOUNCE_OPS):
+    if isinstance(f, ANNOUNCE_OPS):
         raise NotPalFragment(
             f"not in the public-announcement fragment: {print_formula(f)}"
         )
     return _rebuild(f, [translate_pal(c) for c in children(f)])
-
-
-def _rebuild(f: Formula, subs) -> Formula:
-    """Copy a node with fresh subformulas (same kind and labels)."""
-    if isinstance(f, (Atom, Top, Bot)):
-        return f
-    if isinstance(f, Not):
-        return Not(subs[0])
-    if isinstance(f, _BINARY):
-        return type(f)(subs[0], subs[1])
-    if isinstance(f, _AGENT_OPS):
-        return type(f)(f.agent, subs[0])
-    if isinstance(f, _COALITION_OPS):
-        return type(f)(f.coalition, subs[0])
-    if isinstance(f, _ANNOUNCE_OPS):
-        return type(f)(subs[0], f.coalition, subs[1])
-    if isinstance(f, PalAnn):
-        return PalAnn(subs[0], subs[1])
-    raise TypeError(f"not a formula node: {f!r}")
 
 
 def expand_derived(f: Formula) -> Formula:
@@ -645,12 +643,6 @@ def expand_derived(f: Formula) -> Formula:
     Kw, Dual, Or, Implies, Iff and the diamonds expand classically; public
     announcements go through the global-announcement embedding.
     """
-    if isinstance(f, (Atom, Top, Bot)):
-        return f
-    if isinstance(f, Not):
-        return Not(expand_derived(f.sub))
-    if isinstance(f, And):
-        return And(expand_derived(f.left), expand_derived(f.right))
     if isinstance(f, Or):
         return _or(expand_derived(f.left), expand_derived(f.right))
     if isinstance(f, Implies):
@@ -678,21 +670,13 @@ def expand_derived(f: Formula) -> Formula:
         return _or(knows, knows_not)
     if isinstance(f, Dual):
         return Not(Common(Coalition.of(f.agent), Not(expand_derived(f.sub))))
-    if isinstance(f, Common):
-        return Common(f.coalition, expand_derived(f.sub))
-    if isinstance(f, Distributed):
-        return Distributed(f.coalition, expand_derived(f.sub))
-    if isinstance(f, AnnLocal):
-        return AnnLocal(expand_derived(f.announced), f.coalition, expand_derived(f.sub))
-    if isinstance(f, AnnGlobal):
-        return AnnGlobal(expand_derived(f.announced), f.coalition, expand_derived(f.sub))
     if isinstance(f, DiaLocal):
         return Not(AnnLocal(expand_derived(f.announced), f.coalition, Not(expand_derived(f.sub))))
     if isinstance(f, DiaGlobal):
         return Not(AnnGlobal(expand_derived(f.announced), f.coalition, Not(expand_derived(f.sub))))
     if isinstance(f, PalAnn):
         return AnnGlobal(expand_derived(f.announced), EVERYONE, expand_derived(f.sub))
-    raise TypeError(f"not a formula node: {f!r}")
+    return _rebuild(f, [expand_derived(c) for c in children(f)])
 
 
 def _or(a: Formula, b: Formula) -> Formula:

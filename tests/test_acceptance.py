@@ -42,6 +42,7 @@ from glal.syntax import (
     parse,
 )
 from model_checks import assert_canonical, assert_refines
+from uncached_context import UncachedContext
 
 ALPHA = "(m_r | m_g | m_b)"
 
@@ -221,15 +222,15 @@ def test_criterion_09_scaling_and_cache_soundness():
     deep = _deep_announcement(m8)
     point = "11" + "0" * 6
     start = time.perf_counter()
-    result = check(PointedModel(m8, point), deep, context=EvalContext(cache=True))
+    result = check(PointedModel(m8, point), deep, context=EvalContext())
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"muddy(8) deep check took {elapsed:.2f}s"
 
     m5 = muddy(5)
     deep5 = _deep_announcement(m5)
     for w in ("11000", "10101", "00000"):
-        on = check(PointedModel(m5, w), deep5, context=EvalContext(cache=True))
-        off = check(PointedModel(m5, w), deep5, context=EvalContext(cache=False))
+        on = check(PointedModel(m5, w), deep5, context=EvalContext())
+        off = check(PointedModel(m5, w), deep5, context=UncachedContext())
         assert on == off
     report(9, f"muddy(8) 3-deep announcement in {elapsed:.2f}s (result {result}); "
               "cache on == off on muddy(5)")

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from glal.errors import EmptyResult, NotPalFragment, UnknownAgent
-from glal.fuzz import random_coalition, random_formula, random_model, random_pointed
+from glal.fuzz import FRAGMENTS, random_coalition, random_formula, random_model, random_pointed
 from glal.model import KripkeModel, PointedModel, neighborhood
 from glal.semantics import (
     EvalContext,
@@ -35,6 +35,7 @@ from glal.syntax import (
     parse,
 )
 from model_checks import assert_canonical, assert_refines
+from uncached_context import UncachedContext
 
 ALPHA = "(m_r | m_g | m_b)"
 
@@ -257,13 +258,27 @@ def test_pal_equiv_rejects_refinement_formulas():
                         parse("[m_r]-{r} m_r"))
 
 
+def test_expand_derived_preserves_meaning():
+    rng = random.Random(4242)
+    for i in range(320):
+        agents = ["a", "b", "c"][: rng.randint(1, 3)]
+        m = random_model(rng, rng.randint(1, 4), agents, ["p", "q"])
+        f = random_formula(rng, 4, ["p", "q"], agents, FRAGMENTS[i % 4])
+        assert sat_set(m, expand_derived(f)) == sat_set(m, f), str(f)
+    # Fuzzed pairs do not tell local from global announcements; these do.
+    cube = muddy(3)
+    for text in (f"<{ALPHA}>-{{r,g,b}} !C{{r,g,b}} {ALPHA}", f"[{ALPHA}] C{{r,g,b}} {ALPHA}"):
+        f = parse(text)
+        assert sat_set(cube, expand_derived(f)) == sat_set(cube, f), text
+
+
 def test_cache_equals_no_cache():
     rng = random.Random(70)
     for _ in range(40):
         m = random_model(rng, rng.randint(2, 4), ["a", "b"], ["p", "q"])
         f = random_formula(rng, 4, ["p", "q"], ["a", "b"])
-        cached = sat_set(m, f, context=EvalContext(cache=True))
-        plain = sat_set(m, f, context=EvalContext(cache=False))
+        cached = sat_set(m, f, context=EvalContext())
+        plain = sat_set(m, f, context=UncachedContext())
         assert cached == plain
 
 
@@ -275,7 +290,7 @@ def test_shared_context_never_answers_for_a_dead_model():
     for _ in range(3000):
         m = random_model(rng, rng.randint(1, 4), ["a", "b"], ["p", "q"])
         f = random_formula(rng, 3, ["p", "q"], ["a", "b"])
-        assert shared.mask(m, f) == EvalContext(cache=False).mask(m, f)
+        assert shared.mask(m, f) == UncachedContext().mask(m, f)
 
 
 def test_calls_on_a_long_lived_model_retain_nothing():
