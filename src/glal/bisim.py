@@ -316,6 +316,8 @@ def distinguishing_formula_search(
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    if operators not in ("all", "epistemic"):
+        raise ValueError(f"unknown operator set {operators!r}")
     if depth == 0:
         return None  # atoms and constants have depth 1
     announcements = operators == "all"
@@ -375,16 +377,15 @@ def _applications(base, agents, coalitions, announcements):
 def _refinement_probes(ctx: EvalContext, models, atoms, coalitions) -> list:
     out = []
     seen = {id(m) for m in models}
-    announcements = [sx.Atom(a) for a in atoms]
-    announcements += [sx.Not(sx.Atom(a)) for a in atoms]
     for m in models:
-        for announced in announcements:
-            psi = ctx.mask(m, announced)
+        extensions = [m.atom_mask(a) for a in atoms]
+        extensions += [m._full & ~psi for psi in extensions]  # the negated atoms
+        for psi in extensions:
             for co in coalitions:
                 names = co.resolve(m.agents)
                 for kind in ("local", "global"):
                     for i in range(len(m.worlds)):
-                        refined = ctx.refined(m, i, announced, psi, names, kind)
+                        refined = ctx.refined(m, i, psi, names, kind)
                         if id(refined) not in seen:
                             seen.add(id(refined))
                             out.append(refined)

@@ -151,6 +151,8 @@ def sat_bounded(query: SatQuery) -> SatResult:
         )
     if len(set(agents)) != len(agents):
         raise FormatError("duplicate agent names")
+    if len(set(atoms)) != len(atoms):
+        raise FormatError("duplicate atom names")
     order = sorted(range(len(agents)), key=agents.__getitem__)
     model_agents = tuple(agents[k] for k in order)
     examined = 0

@@ -1,11 +1,12 @@
 """Satisfaction sets, pointed-model refinements, and checking.
 
-Announcement clauses refine the model per evaluated world.  The split a
-refinement performs depends on the world only through its scope class
-(the per-agent classes for local announcements, the closure class for
-global and semi-private ones), so refinements are memoized under that
-scope signature and refined models are structurally interned.  That
-sharing is what keeps large nested-announcement queries tractable.
+Announcement clauses refine the model per evaluated world.  A refinement
+depends only on the announced extension (a world mask) and on the scope
+it splits for each coalition member: the member's own class for local
+announcements, the closure class for global and semi-private ones.  So
+refinements are memoized under those masks, announcements with equal
+extensions share them, and refined models are structurally interned.
+That sharing is what keeps large nested-announcement queries tractable.
 Satisfaction sets, refinements and component decompositions are memoized
 per model in the ``EvalContext`` that computed them, and freed with it.
 """
@@ -21,23 +22,20 @@ from .model import KripkeModel, PointedModel, coalition_names, iter_bits, lowest
 
 @dataclass(frozen=True)
 class RefinementKey:
-    """Identity of one refinement: what was announced, to whom, over what scope."""
+    """What one traced refinement announced, to whom, and the worlds whose
+    classes it could split (for ``pal``, the worlds it keeps)."""
 
-    kind: str  # local | global | pal | semiprivate
+    kind: str  # local | global | pal
     coalition: tuple
     announced: sx.Formula
-    scope: tuple
+    scope: frozenset
 
     def to_obj(self) -> dict:
-        if self.kind == "local":
-            worlds = sorted({w for _, cell in self.scope for w in cell})
-        else:
-            worlds = sorted(self.scope)
         return {
             "kind": self.kind,
             "coalition": list(self.coalition),
             "announced": sx.print_formula(self.announced),
-            "scope": worlds,
+            "scope": sorted(self.scope),
         }
 
 
@@ -81,7 +79,12 @@ class EvalContext:
 
     def __init__(self):
         self._interned: dict = {}
-        self._memos: dict = {}  # id(interned model) -> its memo
+        # id(interned model) -> its memo, whose keys are of four shapes:
+        #   formula                   -> satisfaction set (mask)
+        #   psi                       -> restriction to the worlds of mask psi
+        #   (psi, ((k, scope), ...))  -> split of agent k's cells in scope by psi
+        #   (agent name, ...)         -> component decomposition
+        self._memos: dict = {}
 
     def intern(self, model: KripkeModel) -> KripkeModel:
         canon = self._interned.setdefault(model, model)
@@ -191,7 +194,7 @@ class EvalContext:
         psi = self.mask(model, announced)
         cont = 0
         for i in iter_bits(psi):
-            refined = self.refined(model, i, announced, psi, names, kind)
+            refined = self.refined(model, i, psi, names, kind)
             if self.mask(refined, body) >> i & 1:
                 cont |= 1 << i
         return psi, cont
@@ -200,7 +203,7 @@ class EvalContext:
         psi = self.mask(model, announced)
         if psi == 0:
             return 0, 0
-        refined = self._pal_model(model, announced, psi)
+        refined = self._pal_model(model, psi)
         sub = self.mask(refined, body)
         cont = 0
         # The restriction keeps world order: its j-th world is psi's j-th.
@@ -209,30 +212,30 @@ class EvalContext:
                 cont |= 1 << i
         return psi, cont
 
-    def refined(self, model, world_idx, announced, psi, names, kind) -> KripkeModel:
-        """The ``kind`` refinement at a world of ``model``, which must be interned here."""
-        sig = self._scope(model, kind, names, world_idx)
+    def refined(self, model, world_idx, psi, names, kind) -> KripkeModel:
+        """The ``kind`` refinement by the announced mask ``psi`` at a world of
+        ``model``, which must be interned here."""
+        splits = self._scope(model, kind, names, world_idx)
+        return self._memoized(model, (psi, splits), lambda: _split_model(model, splits, psi))
 
-        def build():
-            splits = dict(zip(names, sig)) if kind == "local" else dict.fromkeys(names, sig)
-            return _split_model(model, splits, psi)
-
-        return self._memoized(model, (kind, names, announced, sig), build)
-
-    def _scope(self, model, kind, names, world_idx):
-        """What a ``kind`` refinement at the world splits: the tuple of the
-        members' own classes (local), or one closure class as a mask."""
+    def _scope(self, model, kind, names, world_idx) -> tuple:
+        """What a ``kind`` refinement at the world splits: one (agent position,
+        scope mask) pair per member, the scope being the member's own class
+        (local) or one closure class (global, semi-private)."""
+        index = model._agent_index
         if kind == "local":
-            nbr, index = model._nbr, model._agent_index
-            return tuple(nbr[index[a]][world_idx] for a in names)
+            nbr = model._nbr
+            return tuple([(index[a], nbr[index[a]][world_idx]) for a in names])
         if kind == "global":
-            return self._component(model, names, world_idx)
-        if kind == "semiprivate":
-            return self._component(model, model.agents, world_idx)
-        raise ValueError(f"unknown refinement kind {kind!r}")
+            comp = self._component(model, names, world_idx)
+        elif kind == "semiprivate":
+            comp = self._component(model, model.agents, world_idx)
+        else:
+            raise ValueError(f"unknown refinement kind {kind!r}")
+        return tuple([(index[a], comp) for a in names])
 
-    def _pal_model(self, model, announced, psi) -> KripkeModel:
-        return self._memoized(model, ("pal", announced), lambda: _restrict_model(model, psi))
+    def _pal_model(self, model, psi) -> KripkeModel:
+        return self._memoized(model, psi, lambda: _restrict_model(model, psi))
 
     def _memoized(self, model, key, build) -> KripkeModel:
         """The interned model ``build()`` makes from ``model``, memoized in
@@ -244,8 +247,7 @@ class EvalContext:
         return hit
 
     def _components(self, model, names) -> tuple:
-        """``model.components(names)``, memoized under ``names``, a tuple of
-        agent names and so unlike any formula or refinement key."""
+        """``model.components(names)``, memoized under ``names``."""
         memo = self._memos[id(model)]
         comps = memo.get(names)
         if comps is None:
@@ -258,18 +260,17 @@ class EvalContext:
                 return comp
 
 
-def _split_model(model: KripkeModel, splits: dict, psi: int) -> KripkeModel:
-    """Copy of the model where each agent's cells inside its scope mask (a
-    union of that agent's cells) are split into the announced/complement
-    parts.  Worlds and valuation are shared; with no cell split, the model
-    itself is returned."""
+def _split_model(model: KripkeModel, splits, psi: int) -> KripkeModel:
+    """Copy of the model where, for each (agent position, scope mask) pair of
+    ``splits``, the agent's cells inside the scope (a union of its cells) are
+    split into the announced/complement parts.  Worlds and valuation are
+    shared; with no cell split, the model itself is returned."""
     cells = list(model.cells)
     changed = False
-    for agent, scope in splits.items():
+    for k, scope in splits:
         inside = scope & psi
         if not inside or inside == scope:
             continue  # no cell inside the scope is split
-        k = model._agent_index[agent]
         parts = []
         for cell in cells[k]:
             if cell & scope:
@@ -340,51 +341,36 @@ def check_traced(
     return result, EvalTrace(pointed, result, tuple(steps))
 
 
+_ANNOUNCEMENTS = sx.ANNOUNCE_OPS + (sx.PalAnn,)
+
+
 def _trace(ctx: EvalContext, model: KripkeModel, point: str, f: sx.Formula) -> list:
-    if isinstance(f, (sx.Atom, sx.Top, sx.Bot)):
-        return []
-    if isinstance(f, sx.Not):
-        return _trace(ctx, model, point, f.sub)
-    if isinstance(f, (sx.And, sx.Or, sx.Implies, sx.Iff)):
-        return _trace(ctx, model, point, f.left) + _trace(ctx, model, point, f.right)
-    if isinstance(f, (sx.Know, sx.KnowWhether, sx.Dual, sx.Common, sx.Everybody, sx.Distributed)):
+    if isinstance(f, sx.AGENT_OPS + sx.COALITION_OPS):
         return []  # subformulas are evaluated at other worlds, off the point's path
-    if isinstance(f, (sx.AnnLocal, sx.AnnGlobal, sx.DiaLocal, sx.DiaGlobal)):
-        kind = "local" if isinstance(f, (sx.AnnLocal, sx.DiaLocal)) else "global"
-        nodes = _trace(ctx, model, point, f.announced)
-        names = coalition_names(model, f.coalition)
-        psi = ctx.mask(model, f.announced)
-        i = model.world_index(point)
-        if psi >> i & 1:
-            refined = ctx.refined(model, i, f.announced, psi, names, kind)
-            key = _pretty_key(ctx, model, kind, names, f.announced, i)
-            nodes.append(
-                TraceNode(key, refined, tuple(_trace(ctx, refined, point, f.sub)))
-            )
-        return nodes
+    if not isinstance(f, _ANNOUNCEMENTS):
+        return [node for sub in sx.children(f) for node in _trace(ctx, model, point, sub)]
+    nodes = _trace(ctx, model, point, f.announced)
+    i = model.world_index(point)
+    psi = ctx.mask(model, f.announced)
+    if psi >> i & 1:
+        refined, key = _step(ctx, model, i, psi, f)
+        nodes.append(TraceNode(key, refined, tuple(_trace(ctx, refined, point, f.sub))))
+    return nodes
+
+
+def _step(ctx: EvalContext, model: KripkeModel, i: int, psi: int, f: sx.Formula) -> tuple:
+    """The model an announcement node refines to at world ``i``, where its
+    announced mask ``psi`` holds, and the key describing that refinement."""
     if isinstance(f, sx.PalAnn):
-        nodes = _trace(ctx, model, point, f.announced)
-        psi = ctx.mask(model, f.announced)
-        i = model.world_index(point)
-        if psi >> i & 1:
-            refined = ctx._pal_model(model, f.announced, psi)
-            key = RefinementKey(
-                "pal", (), f.announced, tuple(sorted(model.world_names(psi)))
-            )
-            nodes.append(
-                TraceNode(key, refined, tuple(_trace(ctx, refined, point, f.sub)))
-            )
-        return nodes
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def _pretty_key(ctx, model, kind, names, announced, world_idx) -> RefinementKey:
-    scope = ctx._scope(model, kind, names, world_idx)
-    if kind == "local":
-        pretty = tuple((a, tuple(sorted(model.world_names(m)))) for a, m in zip(names, scope))
-    else:
-        pretty = tuple(sorted(model.world_names(scope)))
-    return RefinementKey(kind, names, announced, pretty)
+        key = RefinementKey("pal", (), f.announced, model.world_names(psi))
+        return ctx._pal_model(model, psi), key
+    kind = "local" if isinstance(f, (sx.AnnLocal, sx.DiaLocal)) else "global"
+    names = coalition_names(model, f.coalition)
+    scope = 0 if kind == "local" else 1 << i  # a closure holds i, even for no agents
+    for _, cls in ctx._scope(model, kind, names, i):
+        scope |= cls
+    key = RefinementKey(kind, names, f.announced, model.world_names(scope))
+    return ctx.refined(model, i, psi, names, kind), key
 
 
 # -- refinement constructors -------------------------------------------------
@@ -419,8 +405,7 @@ def _refine(model, world, announced, coalition, kind, context) -> KripkeModel:
     model = ctx.intern(model)
     names = coalition_names(model, coalition)
     i = model.world_index(world)
-    psi = ctx.mask(model, announced)
-    return ctx.refined(model, i, announced, psi, names, kind)
+    return ctx.refined(model, i, ctx.mask(model, announced), names, kind)
 
 
 def refine_pal(
@@ -434,7 +419,7 @@ def refine_pal(
         raise EmptyResult(
             f"announcement {sx.print_formula(announced)} holds nowhere; restriction is empty"
         )
-    return ctx._pal_model(model, announced, psi)
+    return ctx._pal_model(model, psi)
 
 
 def check_pal_equiv(

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 import bisim_reference as reference
 from glal.bisim import (
     KINDS,
@@ -189,6 +191,12 @@ def test_distinguishing_search_exhausts_its_depth_on_unrelated_points():
         f = distinguishing_formula_search(p, q, 3, operators=operators)
         assert f is not None and depth(f) == 3
         assert check(p, f) and not check(q, f)
+
+
+def test_distinguishing_search_rejects_unknown_operator_set():
+    p = PointedModel(bit_channel("N"), "w1")
+    with pytest.raises(ValueError, match="bogus"):
+        distinguishing_formula_search(p, p, 2, operators="bogus")
 
 
 def test_distinguishing_epistemic_for_modal_inequivalent():

@@ -128,6 +128,13 @@ def test_valid_zero_worlds_is_usage_error(capsys):
     assert code == 64 and "--max-worlds" in err
 
 
+def test_sat_duplicate_vocabulary_is_model_error(capsys):
+    for flag, value, what in [("--atoms", "p,p", "atom"), ("--agents", "a,a", "agent")]:
+        code, out, err = run(capsys, "sat", "p & !p", flag, value, "--max-worlds", "2")
+        assert code == 66 and out == ""
+        assert f"duplicate {what} names" in err
+
+
 def test_scenario_zero_children_is_usage_error(capsys):
     code, out, err = run(capsys, "scenario", "muddy", "--n", "0")
     assert code == 64 and out == "" and "--n" in err

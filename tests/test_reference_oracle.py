@@ -161,3 +161,27 @@ def test_engine_matches_reference_deep_nesting():
         model = random_model(rng, rng.randint(2, 4), ["a", "b"], ["p", "q"])
         f = random_formula(rng, 6, ["p", "q"], ["a", "b"])
         assert sat_set(model, f) == ref_sat(to_plain(model), f), trial
+
+
+def test_engine_matches_reference_where_local_and_global_differ():
+    # Fuzzed formulas almost never tell a local announcement from a global
+    # one; nested knowledge of several members and common knowledge under a
+    # two-agent announcement often do, on models of three worlds or more.
+    announced = ["p", "!p", "q", "p | q"]
+    bodies = ["K{a} K{b} q", "K{b} K{a} p", "K{a} C{a,b} q", "C{a,b} q",
+              "M{a} K{b} !q", "E{a,b} K{a} p"]
+    rng = random.Random(7)
+    ctx = EvalContext()
+    differ = 0
+    for trial in range(40):
+        model = random_model(rng, rng.randint(3, 6), ["a", "b"], ["p", "q"])
+        plain = to_plain(model)
+        for psi in announced:
+            for body in bodies:
+                for box in ("[{}]{}{{a,b}} {}", "<{}>{}{{a,b}} {}"):
+                    local, glob = (sx.parse(box.format(psi, sign, body)) for sign in "-+")
+                    expected = [ref_sat(plain, f) for f in (local, glob)]
+                    got = [sat_set(model, f, context=ctx) for f in (local, glob)]
+                    assert got == expected, (trial, sx.print_formula(local))
+                    differ += expected[0] != expected[1]
+    assert differ >= 100

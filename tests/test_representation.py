@@ -79,7 +79,7 @@ def test_split_matches_pair_oracle():
         splits = {
             m.agents[k]: sum(c for c in m.cells[k] if rng.random() < 0.5) for k in chosen
         }
-        refined = _split_model(m, splits, psi)
+        refined = _split_model(m, [(m.agents.index(a), s) for a, s in splits.items()], psi)
         assert_canonical(refined)
         assert_refines(refined, m)
         assert refined.valuation is m.valuation

@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import random
 import tracemalloc
 import weakref
@@ -411,3 +413,67 @@ def test_distributed_separation_formula_values():
     value_form = parse("[bit0]{r} K{e} (D{r,e} bit0 | D{r,e} !bit0)")
     assert check(pn, value_form) is True
     assert check(pq, value_form) is False
+
+
+# The digest of every ``check_traced`` JSON over the corpus below.  It pins the
+# trace output across refactors of the refinement layer; change it only with a
+# deliberate, documented change of that output.
+TRACE_CORPUS_SHA256 = "6b8715c34137d6c7481e9efc48de95bbc86fb1a7d2265aee9d21434c3a1feac6"
+
+
+def _trace_corpus():
+    rng = random.Random(4711)
+    m3, n, nprime = muddy(3), bit_channel("N"), bit_channel("Nprime")
+    fixed = [
+        (m3, "100", f"[{ALPHA}]-{{r,g,b}} [m_r]+{{g}} K{{g}} m_r"),
+        (m3, "110", f"[{ALPHA}]+{{r,g,b}} <!K{{r}} m_r>-{{}} (C{{r,g}} {ALPHA} & [m_g]+{{}} K{{g}} m_g)"),
+        (m3, "111", f"[{ALPHA}] [m_r]-{{r}} [!m_b]+{{}} (m_r & <m_g>+{{r,b}} E{{r,b}} m_g)"),
+        (n, "w1", "[bit0]-{s,r} K{r} bit0"),
+        (nprime, "v1", "[bit0]+{s,r} (K{r} bit0 & [!bit0]-{e} K{e} bit0)"),
+        (nprime, "w2", "[!bit0] <bit0 | !bit0>-{} [true]+{s,r,e} !K{e} bit0"),
+    ]
+    for m, point, text in fixed:
+        yield PointedModel(m, point), parse(text)
+    models = [m3, n, nprime]
+    for _ in range(12):
+        agents = ["a", "b", "c"][: rng.randint(1, 3)]
+        models.append(random_model(rng, rng.randint(1, 5), agents, ["p", "q"]))
+    for m in models:
+        atoms, agents = list(m.atom_names()), list(m.agents)
+        for fragment in FRAGMENTS:
+            for _ in range(25):
+                yield random_pointed(rng, m), random_formula(rng, 5, atoms, agents, fragment)
+
+
+def test_trace_output_is_pinned():
+    digest = hashlib.sha256()
+    seen = set()  # (kind, coalition is empty) of every step
+
+    def walk(step):
+        seen.add((step.key.kind, not step.key.coalition))
+        for child in step.children:
+            walk(child)
+
+    for pointed, f in _trace_corpus():
+        _, trace = check_traced(pointed, f)
+        for step in trace.steps:
+            walk(step)
+        digest.update(json.dumps(trace.to_obj(), sort_keys=True).encode() + b"\n")
+    assert {("local", True), ("global", True), ("local", False), ("global", False),
+            ("pal", True)} <= seen
+    assert digest.hexdigest() == TRACE_CORPUS_SHA256
+
+
+def test_announcements_with_equal_extensions_share_refinements(monkeypatch):
+    from glal import semantics
+
+    built = []
+    split = semantics._split_model
+    monkeypatch.setattr(semantics, "_split_model", lambda *a: built.append(a) or split(*a))
+    ctx = EvalContext()
+    m = random_model(random.Random(3), 5, ["a", "b"], ["p", "q"])
+    first = sat_set(m, parse("[p]-{a,b} K{a} q"), context=ctx)
+    assert built
+    built.clear()
+    assert sat_set(m, parse("[!!p]-{a,b} K{a} q"), context=ctx) == first
+    assert built == []
