@@ -88,8 +88,7 @@ class SatQuery:
             raise ValueError("max_worlds must be at least 1")
         if self.max_worlds > MAX_WORLDS and not self.allow_large:
             raise BoundExceeded(
-                f"max_worlds {self.max_worlds} exceeds the cap of {MAX_WORLDS}; "
-                "pass allow_large=True to override"
+                f"max_worlds {self.max_worlds} exceeds the cap of {MAX_WORLDS}"
             )
         if self.max_worlds > MAX_WORLDS:
             warnings.warn("enumeration beyond 6 worlds grows as a Bell-number power",
@@ -149,10 +148,13 @@ def sat_bounded(query: SatQuery) -> SatResult:
             f"relabeling tables of {entries} entries for {top} worlds exceed "
             f"budget {query.budget}"
         )
-    if len(set(agents)) != len(agents):
-        raise FormatError("duplicate agent names")
-    if len(set(atoms)) != len(atoms):
-        raise FormatError("duplicate atom names")
+    for what, names in (("agent", agents), ("atom", atoms)):
+        # A name outside the identifier syntax is one no formula can mention.
+        for name in names:
+            if not name or not set(name) <= sx._IDENT_CHARS or name in ("true", "false"):
+                raise FormatError(f"{what} name {name!r} is not an identifier")
+        if len(set(names)) != len(names):
+            raise FormatError(f"duplicate {what} names")
     order = sorted(range(len(agents)), key=agents.__getitem__)
     model_agents = tuple(agents[k] for k in order)
     examined = 0

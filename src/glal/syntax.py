@@ -22,7 +22,12 @@ syntax error.  ``*`` in agent position is the everyone placeholder
 produced by the public-announcement translation.
 
 Each operator is one frozen dataclass; its fields annotated ``Formula``
-are its subformulas, which ``children`` and ``_rebuild`` read.  A new
+are its subformulas, which ``children`` and ``_rebuild`` read.  Nodes are
+hash-consed: structurally equal formulas are one object, so ``==`` and
+``hash`` are identity and cost O(1), which keeps formula-keyed memos
+cheap.  Nodes are built only through their constructors (directly or via
+``dataclasses.replace``, ``pickle`` or ``copy``), which return the
+interned node.  A new
 operator needs its node class, a parser rule, a printer clause and an
 evaluator clause (``EvalContext._eval``); a derived one also needs an
 ``expand_derived`` clause.  The formula generators in ``fuzz`` and
@@ -32,6 +37,8 @@ class lists.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, fields, replace
 
 from .errors import FormulaSyntaxError, NotPalFragment, UnknownOperator
@@ -73,71 +80,104 @@ EVERYONE = Coalition(everyone=True)
 
 
 class Formula:
-    """Base class for formula AST nodes. Nodes are immutable and hashable."""
+    """Base class for formula AST nodes.
+
+    Nodes are immutable and hash-consed: the constructor, called with the
+    node's fields by position or by name, returns the one live node of that
+    class with those field values.  So ``==`` and ``hash`` are identity.
+    """
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        names = _FIELDS[cls]
+        if kwargs:  # dataclasses.replace passes every field by name
+            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{cls.__name__}() takes the fields ({', '.join(names)})")
+        # Subformulas in the key are nodes already, so they hash by identity.
+        key = (cls, *args)
+        node = _NODES.get(key)
+        if node is None:
+            node = super().__new__(cls)
+            for name, value in zip(names, args):
+                object.__setattr__(node, name, value)
+            with _NODES_LOCK:  # publish only a complete node, and only one per key
+                node = _NODES.setdefault(key, node)
+        return node
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, so they return
+        # the interned node.
+        return type(self), tuple(getattr(self, name) for name in _FIELDS[type(self)])
 
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+# (class, *field values) -> the live node with those fields.  Entries go when
+# their node is no longer referenced, so the table holds only formulas in use.
+_NODES = weakref.WeakValueDictionary()
+_NODES_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Know(Formula):
     agent: str
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class KnowWhether(Formula):
     agent: str
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Dual(Formula):
     """Epistemic possibility, the dual of Know."""
 
@@ -145,25 +185,25 @@ class Dual(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Common(Formula):
     coalition: Coalition
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Everybody(Formula):
     coalition: Coalition
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Distributed(Formula):
     coalition: Coalition
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class AnnLocal(Formula):
     """Local announcement box: split only the actual world's classes."""
 
@@ -172,7 +212,7 @@ class AnnLocal(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class AnnGlobal(Formula):
     """Global announcement box: split every class in the closure region."""
 
@@ -181,27 +221,36 @@ class AnnGlobal(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class DiaLocal(Formula):
     announced: Formula
     coalition: Coalition
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class DiaGlobal(Formula):
     announced: Formula
     coalition: Coalition
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PalAnn(Formula):
     """Public announcement box in the world-deleting style."""
 
     announced: Formula
     sub: Formula
 
+
+# Each node class's field names, in order, and among them its subformulas:
+# the fields annotated ``Formula`` (under postponed evaluation an annotation
+# is the string written in the class body).
+_FIELDS = {cls: tuple(field.name for field in fields(cls)) for cls in Formula.__subclasses__()}
+_SUBFORMULAS = {
+    cls: tuple(field.name for field in fields(cls) if field.type == "Formula")
+    for cls in _FIELDS
+}
 
 TOP = Top()
 BOT = Bot()
@@ -212,13 +261,6 @@ BINARY = (And, Or, Implies, Iff)
 AGENT_OPS = (Know, KnowWhether, Dual)
 COALITION_OPS = (Common, Everybody, Distributed)
 ANNOUNCE_OPS = (AnnLocal, AnnGlobal, DiaLocal, DiaGlobal)
-
-# Each node class's subformula fields, left to right.  Under postponed
-# evaluation an annotation is the string written in the class body.
-_SUBFORMULAS = {
-    cls: tuple(field.name for field in fields(cls) if field.type == "Formula")
-    for cls in Formula.__subclasses__()
-}
 
 
 def _subformula_fields(f: Formula) -> tuple:

@@ -135,6 +135,25 @@ def test_sat_duplicate_vocabulary_is_model_error(capsys):
         assert f"duplicate {what} names" in err
 
 
+def test_sat_vocabulary_names_must_be_identifiers(capsys):
+    # "a," splits into "a" and "": no formula can mention an empty agent.
+    for argv, what in [(("K{a} p", "--agents", "a,"), "agent name ''"),
+                       (("p", "--atoms", ","), "atom name ''"),
+                       (("p", "--atoms", "p,q-r"), "atom name 'q-r'"),
+                       (("p", "--atoms", "p,true"), "atom name 'true'"),
+                       (("p", "--agents", "false"), "agent name 'false'")]:
+        code, out, err = run(capsys, "sat", *argv)
+        assert code == 66 and out == ""
+        assert f"{what} is not an identifier" in err
+
+
+def test_world_cap_message_names_no_library_option(capsys):
+    code, out, err = run(capsys, "valid", "p", "--max-worlds", "9")
+    assert code == 2 and out == ""
+    assert "cap of 6" in err
+    assert "allow_large" not in err
+
+
 def test_scenario_zero_children_is_usage_error(capsys):
     code, out, err = run(capsys, "scenario", "muddy", "--n", "0")
     assert code == 64 and out == "" and "--n" in err

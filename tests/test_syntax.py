@@ -1,8 +1,13 @@
+import copy
+import dataclasses
+import gc
 import hashlib
+import pickle
 import random
 
 import pytest
 
+from glal import syntax
 from glal.errors import FormulaSyntaxError, NotPalFragment, UnknownOperator
 from glal.fuzz import FRAGMENTS, random_formula
 from glal.syntax import (
@@ -254,3 +259,48 @@ def test_derived_operators_parse():
 
 def test_depth_of_channel_distinguisher():
     assert depth(parse("[bit0]{r} K{e} Kw{r} bit0")) == 4
+
+
+def test_structurally_equal_formulas_are_one_object():
+    p, q = Atom("m_r"), Atom("m_g")
+    f = AnnGlobal(And(p, Not(q)), EVERYONE, Know("r", p))
+    routes = [
+        # The parser slices names out of the text: equal strings, new objects.
+        parse(print_formula(f)),
+        dataclasses.replace(f),
+        dataclasses.replace(f, sub=Know("r", Atom("m_r"))),
+        syntax._rebuild(f, children(f)),
+        translate_pal(PalAnn(And(Atom("m_r"), Not(Atom("m_g"))), Know("r", Atom("m_r")))),
+        AnnGlobal(And(Atom("m_r"), Not(Atom("m_g"))), EVERYONE, Know("r", Atom("m_r"))),
+        AnnGlobal(announced=And(p, Not(q)), sub=Know(agent="r", sub=p), coalition=EVERYONE),
+    ]
+    assert all(g is f for g in routes)
+
+    derived = Iff(KnowWhether("r", q), Everybody(Coalition.of("r", "g"), p))
+    assert expand_derived(derived) is expand_derived(derived)
+    drawn = [random_formula(random.Random(9), 5, ["p", "q"], ["a", "b"]) for _ in range(2)]
+    assert drawn[0] is drawn[1]
+
+    for g in [f, expand_derived(derived), drawn[0], TOP]:
+        assert pickle.loads(pickle.dumps(g)) is g
+        assert copy.copy(g) is g
+        assert copy.deepcopy(g) is g
+
+
+def test_node_constructors_check_their_fields():
+    for build in [lambda: Atom(), lambda: Atom("p", "q"), lambda: Not(body=TOP),
+                  lambda: Not(TOP, sub=TOP), lambda: Know("a")]:
+        with pytest.raises(TypeError):
+            build()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Atom("p").name = "q"
+
+
+def test_node_table_holds_only_live_formulas():
+    gc.collect()
+    before = len(syntax._NODES)
+    rng = random.Random(11)
+    for _ in range(10_000):
+        random_formula(rng, 5, ["p", "q", "r"], ["a", "b", "c"])
+    gc.collect()
+    assert len(syntax._NODES) <= before + 10
