@@ -344,7 +344,7 @@ def distinguishing_formula_search(
             list(reps), agents, coalitions, announcements
         )
         for f in layer:
-            sig = tuple(ctx.mask(m, f) for m in probes)
+            sig = tuple(ctx.mask(m, f, m._full) for m in probes)
             if sig[0] >> pi & 1 and not sig[1] >> qi & 1:
                 return f
             if sig not in seen:

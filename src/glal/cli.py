@@ -9,6 +9,7 @@ exceeded, 64 usage, 65 formula syntax, 66 model load, 70 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -120,7 +121,10 @@ def _at_least(low: int):
     return convert
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than a small query."""
     parser = _Parser(prog="glal", description=__doc__)
     parser.add_argument(
         "--version", action="version",

@@ -184,7 +184,8 @@ def sat_bounded(query: SatQuery) -> SatResult:
                     continue
                 model = _build(model_worlds, model_agents, cells, atoms,
                                [to_model[v] for v in vals])
-                mask = ctx.mask(ctx.intern(model), query.formula)
+                model = ctx.intern(model)
+                mask = ctx.mask(model, query.formula, model._full)
                 if mask:
                     point = model.worlds[lowest_bit(mask).bit_length() - 1]
                     return SatResult("sat", PointedModel(model, point), examined)

@@ -1,14 +1,26 @@
 """Satisfaction sets, pointed-model refinements, and checking.
 
-Announcement clauses refine the model per evaluated world.  A refinement
-depends only on the announced extension (a world mask) and on the scope
-it splits for each coalition member: the member's own class for local
-announcements, the closure class for global and semi-private ones.  So
-refinements are memoized under those masks, announcements with equal
-extensions share them, and refined models are structurally interned.
-That sharing is what keeps large nested-announcement queries tractable.
-Satisfaction sets, refinements and component decompositions are memoized
-per model in the ``EvalContext`` that computed them, and freed with it.
+``EvalContext.mask(model, f, need)`` is the one evaluator.  It returns the
+satisfaction set of ``f``, correct on the worlds of the mask ``need``, and
+each clause asks for its subformulas only on the worlds its answer reads:
+a knowledge operator on the classes that meet ``need``, common knowledge
+on the components that do, an announcement on ``need`` and then on the
+refinement scopes of the worlds where the announced formula holds, and
+its body only at those worlds, in their refined models.  So a pointed
+query (``check``, ``check_traced``) evaluates along the point's tree of
+refined models, which is local model checking; ``sat_set`` and the other
+whole-model callers pass every world.
+
+Announcement clauses refine the model per group of announced worlds.  A
+refinement depends only on the scope it splits for each coalition member
+(the member's own class for local announcements, the closure class for
+global and semi-private ones) and on the announced extension inside those
+scopes, so refinements are memoized under those masks, announced worlds
+with one scope share one refinement, and refined models are structurally
+interned.  Satisfaction sets (an int mask once known on every world, a
+``(known, set)`` pair before), refinements and component decompositions
+are memoized per model in the ``EvalContext`` that computed them, and
+freed with it.
 """
 
 from __future__ import annotations
@@ -80,9 +92,13 @@ class EvalContext:
     def __init__(self):
         self._interned: dict = {}
         # id(interned model) -> its memo, whose keys are of four shapes:
-        #   formula                   -> satisfaction set (mask)
+        #   formula                   -> satisfaction set: an int mask once it
+        #                                is known on every world, before that a
+        #                                (known, set) pair of masks, the set
+        #                                correct on known and empty off it
         #   psi                       -> restriction to the worlds of mask psi
-        #   (psi, ((k, scope), ...))  -> split of agent k's cells in scope by psi
+        #   (psi, ((k, scope), ...))  -> split of agent k's cells in scope by
+        #                                psi, cut to the union of the scopes
         #   (agent name, ...)         -> component decomposition
         self._memos: dict = {}
 
@@ -93,146 +109,262 @@ class EvalContext:
 
     # -- satisfaction -------------------------------------------------------
 
-    def mask(self, model: KripkeModel, f: sx.Formula) -> int:
+    def mask(self, model: KripkeModel, f: sx.Formula, need: int) -> int:
+        """The satisfaction set of ``f`` in ``model``, correct on the worlds
+        of the mask ``need``; a bit outside ``need`` may be either value.
+        ``need = model._full`` asks for the whole set."""
         try:
             memo = self._memos[id(model)]
         except KeyError:  # not interned here
-            return self.mask(self.intern(model), f)
-        out = memo.get(f)
-        if out is None:
-            out = memo[f] = self._eval(model, f)
+            return self.mask(self.intern(model), f, need)
+        entry = memo.get(f)
+        if entry.__class__ is int:
+            return entry
+        if entry is None:
+            if not need:
+                return 0
+            known = out = 0
+        else:
+            known, out = entry
+            need &= ~known
+            if not need:
+                return out
+        clause = _CLAUSES.get(f.__class__)
+        if clause is None:
+            raise TypeError(f"not a formula node: {f!r}")
+        value = clause(self, model, f, need)
+        full = model._full
+        if need == full:
+            memo[f] = value
+            return value
+        out |= value & need
+        known |= need
+        memo[f] = out if known == full else (known, out)
         return out
 
-    def _eval(self, model: KripkeModel, f: sx.Formula) -> int:
-        full = model._full
-        if isinstance(f, sx.Atom):
-            return model.atom_mask(f.name)
-        if isinstance(f, sx.Top):
-            return full
-        if isinstance(f, sx.Bot):
-            return 0
-        if isinstance(f, sx.Not):
-            return full & ~self.mask(model, f.sub)
-        if isinstance(f, sx.And):
-            return self.mask(model, f.left) & self.mask(model, f.right)
-        if isinstance(f, sx.Or):
-            return self.mask(model, f.left) | self.mask(model, f.right)
-        if isinstance(f, sx.Implies):
-            return (full & ~self.mask(model, f.left)) | self.mask(model, f.right)
-        if isinstance(f, sx.Iff):
-            return full & ~(self.mask(model, f.left) ^ self.mask(model, f.right))
-        if isinstance(f, sx.Know):
-            return self._know(model, f.agent, self.mask(model, f.sub))
-        if isinstance(f, sx.KnowWhether):
-            sub = self.mask(model, f.sub)
-            return self._know(model, f.agent, sub) | self._know(
-                model, f.agent, full & ~sub
-            )
-        if isinstance(f, sx.Dual):
-            sub = self.mask(model, f.sub)
-            k = model.agent_position(f.agent)
-            out = 0
-            for cell in model.cells[k]:
-                if cell & sub:
-                    out |= cell
-            return out
-        if isinstance(f, sx.Everybody):
-            names = coalition_names(model, f.coalition)
-            sub = self.mask(model, f.sub)
-            out = full
-            for a in names:
-                out &= self._know(model, a, sub)
-            return out
-        if isinstance(f, sx.Common):
-            names = coalition_names(model, f.coalition)
-            sub = self.mask(model, f.sub)
-            out = 0
-            for comp in self._components(model, names):
-                if comp & sub == comp:
-                    out |= comp
-            return out
-        if isinstance(f, sx.Distributed):
-            names = coalition_names(model, f.coalition)
-            sub = self.mask(model, f.sub)
-            if not names:
-                return sub
-            positions = [model.agent_position(a) for a in names]
-            nbr = model._nbr
-            out = 0
-            for i in range(len(model.worlds)):
-                inter = nbr[positions[0]][i]
-                for k in positions[1:]:
-                    inter &= nbr[k][i]
-                if inter & sub == inter:
-                    out |= 1 << i
-            return out
-        if isinstance(f, (sx.AnnLocal, sx.AnnGlobal)):
-            kind = "local" if isinstance(f, sx.AnnLocal) else "global"
-            psi, cont = self._announce(model, f.announced, f.coalition, f.sub, kind)
-            return (full & ~psi) | cont
-        if isinstance(f, (sx.DiaLocal, sx.DiaGlobal)):
-            kind = "local" if isinstance(f, sx.DiaLocal) else "global"
-            _, cont = self._announce(model, f.announced, f.coalition, f.sub, kind)
-            return cont
-        if isinstance(f, sx.PalAnn):
-            psi, cont = self._announce_pal(model, f.announced, f.sub)
-            return (full & ~psi) | cont
-        raise TypeError(f"not a formula node: {f!r}")
+    # One clause per node class.  A clause asks for each subformula's set on
+    # the worlds its own answer on ``need`` reads, and no further.
 
-    def _know(self, model: KripkeModel, agent: str, sub: int) -> int:
-        k = model.agent_position(agent)
+    def _atom(self, model, f, need):
+        return model.atom_mask(f.name)
+
+    def _top(self, model, f, need):
+        return model._full
+
+    def _bot(self, model, f, need):
+        return 0
+
+    def _not(self, model, f, need):
+        return model._full & ~self.mask(model, f.sub, need)
+
+    def _and(self, model, f, need):
+        return self.mask(model, f.left, need) & self.mask(model, f.right, need)
+
+    def _or(self, model, f, need):
+        return self.mask(model, f.left, need) | self.mask(model, f.right, need)
+
+    def _implies(self, model, f, need):
+        return (model._full & ~self.mask(model, f.left, need)) | self.mask(model, f.right, need)
+
+    def _iff(self, model, f, need):
+        return model._full & ~(self.mask(model, f.left, need) ^ self.mask(model, f.right, need))
+
+    def _know(self, model, f, need):
+        cells = model.cells[model.agent_position(f.agent)]
+        region = need if need == model._full else _reach(cells, need)
+        sub = self.mask(model, f.sub, region)
         out = 0
-        for cell in model.cells[k]:
+        for cell in cells:
             if cell & sub == cell:
                 out |= cell
         return out
 
-    # -- refinements ---------------------------------------------------------
+    def _know_whether(self, model, f, need):
+        cells = model.cells[model.agent_position(f.agent)]
+        region = need if need == model._full else _reach(cells, need)
+        sub = self.mask(model, f.sub, region)
+        out = 0
+        for cell in cells:
+            inside = cell & sub
+            if not inside or inside == cell:
+                out |= cell
+        return out
 
-    def _announce(self, model, announced, coalition, body, kind):
-        names = coalition_names(model, coalition)
-        psi = self.mask(model, announced)
-        cont = 0
-        for i in iter_bits(psi):
+    def _dual(self, model, f, need):
+        cells = model.cells[model.agent_position(f.agent)]
+        region = need if need == model._full else _reach(cells, need)
+        sub = self.mask(model, f.sub, region)
+        out = 0
+        for cell in cells:
+            if cell & sub:
+                out |= cell
+        return out
+
+    def _everybody(self, model, f, need):
+        full = model._full
+        partitions = [model.cells[model.agent_position(a)]
+                      for a in coalition_names(model, f.coalition)]
+        region = need
+        if need != full:
+            region = 0
+            for cells in partitions:
+                region |= _reach(cells, need)
+        sub = self.mask(model, f.sub, region)
+        out = full
+        for cells in partitions:
+            known = 0
+            for cell in cells:
+                if cell & sub == cell:
+                    known |= cell
+            out &= known
+        return out
+
+    def _common(self, model, f, need):
+        comps = self._components(model, coalition_names(model, f.coalition))
+        region = need if need == model._full else _reach(comps, need)
+        sub = self.mask(model, f.sub, region)
+        out = 0
+        for comp in comps:
+            if comp & sub == comp:
+                out |= comp
+        return out
+
+    def _distributed(self, model, f, need):
+        names = coalition_names(model, f.coalition)
+        if not names:
+            return self.mask(model, f.sub, need)
+        rows = [model._nbr[model.agent_position(a)] for a in names]
+        full = model._full
+        meets = []  # (world, its class in the meet of the members' partitions)
+        for i in range(len(model.worlds)) if need == full else iter_bits(need):
+            inter = rows[0][i]
+            for row in rows[1:]:
+                inter &= row[i]
+            meets.append((i, inter))
+        region = need
+        if need != full:
+            region = 0
+            for _, inter in meets:
+                region |= inter
+        sub = self.mask(model, f.sub, region)
+        out = 0
+        for i, inter in meets:
+            if inter & sub == inter:
+                out |= 1 << i
+        return out
+
+    def _announce(self, model, f, need):
+        """A local or global announcement, box or diamond.  The worlds of
+        ``need`` where the announced formula holds are refined once per
+        group of worlds that split the same classes, and the body is asked
+        for once per refined model, on the worlds refined to it."""
+        kind, box = _ANNOUNCE_KINDS[type(f)]
+        names = coalition_names(model, f.coalition)
+        full = model._full
+        psi = self.mask(model, f.announced, need)
+        out = full & ~psi if box else 0
+        hold = psi & need
+        if not hold:
+            return out
+        groups = self._groups(model, kind, names, hold)
+        if need != full:
+            # Each refinement reads the announced set on the classes it splits.
+            scope = 0
+            for i, _ in groups:
+                scope |= self._scope(model, kind, names, i)[1]
+            psi = self.mask(model, f.announced, need | scope)
+        if len(groups) == 1:
+            i, worlds = groups[0]
             refined = self.refined(model, i, psi, names, kind)
-            if self.mask(refined, body) >> i & 1:
-                cont |= 1 << i
-        return psi, cont
+            return out | self.mask(refined, f.sub, worlds) & worlds
+        asked = {}  # id(refined model) -> (refined model, worlds refined to it)
+        for i, worlds in groups:
+            refined = self.refined(model, i, psi, names, kind)
+            seen = asked.get(id(refined))
+            asked[id(refined)] = (refined, worlds if seen is None else seen[1] | worlds)
+        for refined, worlds in asked.values():
+            out |= self.mask(refined, f.sub, worlds) & worlds
+        return out
 
-    def _announce_pal(self, model, announced, body):
-        psi = self.mask(model, announced)
-        if psi == 0:
-            return 0, 0
+    def _groups(self, model, kind, names, hold) -> list:
+        """The worlds of ``hold`` grouped by the classes their refinements
+        split, as (lowest world, group) pairs: a group is what ``hold`` keeps
+        of a closure class (global) or of a cell of the members' meet
+        partition (local), and all of ``hold`` when there are no members."""
+        if not names or not hold & (hold - 1):  # no members, or one world
+            return [((hold & -hold).bit_length() - 1, hold)]
+        groups = []
+        if kind == "global":
+            for comp in self._components(model, names):
+                worlds = comp & hold
+                if worlds:
+                    groups.append(((worlds & -worlds).bit_length() - 1, worlds))
+            return groups
+        nbr, index = model._nbr, model._agent_index
+        rows = [nbr[index[a]] for a in names]
+        while hold:
+            i = (hold & -hold).bit_length() - 1
+            worlds = hold
+            for row in rows:
+                worlds &= row[i]
+            groups.append((i, worlds))
+            hold &= ~worlds
+        return groups
+
+    def _pal(self, model, f, need):
+        full = model._full
+        psi = self.mask(model, f.announced, full)
+        if not psi & need:
+            return full & ~psi
         refined = self._pal_model(model, psi)
-        sub = self.mask(refined, body)
-        cont = 0
         # The restriction keeps world order: its j-th world is psi's j-th.
+        if need == full:
+            kept = refined._full
+        else:
+            kept = 0
+            for j, i in enumerate(iter_bits(psi)):
+                if need >> i & 1:
+                    kept |= 1 << j
+        sub = self.mask(refined, f.sub, kept)
+        cont = 0
         for j, i in enumerate(iter_bits(psi)):
             if sub >> j & 1:
                 cont |= 1 << i
-        return psi, cont
+        return (full & ~psi) | cont
+
+    # -- refinements ---------------------------------------------------------
 
     def refined(self, model, world_idx, psi, names, kind) -> KripkeModel:
         """The ``kind`` refinement by the announced mask ``psi`` at a world of
-        ``model``, which must be interned here."""
-        splits = self._scope(model, kind, names, world_idx)
+        ``model``, which must be interned here.  ``psi`` need only be correct
+        on the classes the refinement splits."""
+        splits, scope = self._scope(model, kind, names, world_idx)
+        psi &= scope
         return self._memoized(model, (psi, splits), lambda: _split_model(model, splits, psi))
 
     def _scope(self, model, kind, names, world_idx) -> tuple:
         """What a ``kind`` refinement at the world splits: one (agent position,
         scope mask) pair per member, the scope being the member's own class
-        (local) or one closure class (global, semi-private)."""
+        (local) or one closure class (global, semi-private); and the union of
+        those scopes."""
         index = model._agent_index
         if kind == "local":
             nbr = model._nbr
-            return tuple([(index[a], nbr[index[a]][world_idx]) for a in names])
+            splits = []
+            union = 0
+            for a in names:
+                k = index[a]
+                cls = nbr[k][world_idx]
+                splits.append((k, cls))
+                union |= cls
+            return tuple(splits), union
         if kind == "global":
             comp = self._component(model, names, world_idx)
         elif kind == "semiprivate":
             comp = self._component(model, model.agents, world_idx)
         else:
             raise ValueError(f"unknown refinement kind {kind!r}")
-        return tuple([(index[a], comp) for a in names])
+        return tuple([(index[a], comp) for a in names]), comp if names else 0
 
     def _pal_model(self, model, psi) -> KripkeModel:
         return self._memoized(model, psi, lambda: _restrict_model(model, psi))
@@ -258,6 +390,48 @@ class EvalContext:
         for comp in self._components(model, names):
             if comp >> world_idx & 1:
                 return comp
+
+
+# Node class -> its clause: clause(context, model, f, need) is f's set,
+# correct on need.  EvalContext.mask dispatches through this table.
+_CLAUSES = {
+    sx.Atom: EvalContext._atom,
+    sx.Top: EvalContext._top,
+    sx.Bot: EvalContext._bot,
+    sx.Not: EvalContext._not,
+    sx.And: EvalContext._and,
+    sx.Or: EvalContext._or,
+    sx.Implies: EvalContext._implies,
+    sx.Iff: EvalContext._iff,
+    sx.Know: EvalContext._know,
+    sx.KnowWhether: EvalContext._know_whether,
+    sx.Dual: EvalContext._dual,
+    sx.Everybody: EvalContext._everybody,
+    sx.Common: EvalContext._common,
+    sx.Distributed: EvalContext._distributed,
+    sx.AnnLocal: EvalContext._announce,
+    sx.AnnGlobal: EvalContext._announce,
+    sx.DiaLocal: EvalContext._announce,
+    sx.DiaGlobal: EvalContext._announce,
+    sx.PalAnn: EvalContext._pal,
+}
+
+# Announcement node class -> (refinement kind, whether it is a box).
+_ANNOUNCE_KINDS = {
+    sx.AnnLocal: ("local", True),
+    sx.AnnGlobal: ("global", True),
+    sx.DiaLocal: ("local", False),
+    sx.DiaGlobal: ("global", False),
+}
+
+
+def _reach(parts, need: int) -> int:
+    """The union of the ``parts`` (disjoint masks) that meet ``need``."""
+    out = 0
+    for part in parts:
+        if part & need:
+            out |= part
+    return out
 
 
 def _split_model(model: KripkeModel, splits, psi: int) -> KripkeModel:
@@ -320,14 +494,16 @@ def _restrict_model(model: KripkeModel, keep: int) -> KripkeModel:
 def sat_set(model: KripkeModel, f: sx.Formula, *, context: EvalContext | None = None) -> frozenset:
     """The set of worlds satisfying ``f``."""
     ctx = context or EvalContext()
-    return model.world_names(ctx.mask(ctx.intern(model), f))
+    model = ctx.intern(model)
+    return model.world_names(ctx.mask(model, f, model._full))
 
 
 def check(pointed: PointedModel, f: sx.Formula, *, context: EvalContext | None = None) -> bool:
     """Pointed model checking: does the designated world satisfy ``f``?"""
     ctx = context or EvalContext()
     model = ctx.intern(pointed.model)
-    return bool(ctx.mask(model, f) >> model.world_index(pointed.point) & 1)
+    point = 1 << model.world_index(pointed.point)
+    return bool(ctx.mask(model, f, point) & point)
 
 
 def check_traced(
@@ -337,7 +513,8 @@ def check_traced(
     ctx = context or EvalContext()
     model = ctx.intern(pointed.model)
     steps = _trace(ctx, model, pointed.point, f)
-    result = bool(ctx.mask(model, f) >> model.world_index(pointed.point) & 1)
+    point = 1 << model.world_index(pointed.point)
+    result = bool(ctx.mask(model, f, point) & point)
     return result, EvalTrace(pointed, result, tuple(steps))
 
 
@@ -351,24 +528,26 @@ def _trace(ctx: EvalContext, model: KripkeModel, point: str, f: sx.Formula) -> l
         return [node for sub in sx.children(f) for node in _trace(ctx, model, point, sub)]
     nodes = _trace(ctx, model, point, f.announced)
     i = model.world_index(point)
-    psi = ctx.mask(model, f.announced)
-    if psi >> i & 1:
-        refined, key = _step(ctx, model, i, psi, f)
+    if ctx.mask(model, f.announced, 1 << i) >> i & 1:
+        refined, key = _step(ctx, model, i, f)
         nodes.append(TraceNode(key, refined, tuple(_trace(ctx, refined, point, f.sub))))
     return nodes
 
 
-def _step(ctx: EvalContext, model: KripkeModel, i: int, psi: int, f: sx.Formula) -> tuple:
+def _step(ctx: EvalContext, model: KripkeModel, i: int, f: sx.Formula) -> tuple:
     """The model an announcement node refines to at world ``i``, where its
-    announced mask ``psi`` holds, and the key describing that refinement."""
+    announced formula holds, and the key describing that refinement.  The
+    announced set is asked for only where the refinement reads it."""
     if isinstance(f, sx.PalAnn):
+        psi = ctx.mask(model, f.announced, model._full)
         key = RefinementKey("pal", (), f.announced, model.world_names(psi))
         return ctx._pal_model(model, psi), key
-    kind = "local" if isinstance(f, (sx.AnnLocal, sx.DiaLocal)) else "global"
+    kind = _ANNOUNCE_KINDS[type(f)][0]
     names = coalition_names(model, f.coalition)
-    scope = 0 if kind == "local" else 1 << i  # a closure holds i, even for no agents
-    for _, cls in ctx._scope(model, kind, names, i):
-        scope |= cls
+    scope = ctx._scope(model, kind, names, i)[1]
+    if kind == "global":
+        scope |= 1 << i  # a closure holds i, even for no agents
+    psi = ctx.mask(model, f.announced, scope)
     key = RefinementKey(kind, names, f.announced, model.world_names(scope))
     return ctx.refined(model, i, psi, names, kind), key
 
@@ -405,7 +584,7 @@ def _refine(model, world, announced, coalition, kind, context) -> KripkeModel:
     model = ctx.intern(model)
     names = coalition_names(model, coalition)
     i = model.world_index(world)
-    return ctx.refined(model, i, ctx.mask(model, announced), names, kind)
+    return ctx.refined(model, i, ctx.mask(model, announced, model._full), names, kind)
 
 
 def refine_pal(
@@ -414,7 +593,7 @@ def refine_pal(
     """Restrict the model to the worlds satisfying the announced formula."""
     ctx = context or EvalContext()
     model = ctx.intern(model)
-    psi = ctx.mask(model, announced)
+    psi = ctx.mask(model, announced, model._full)
     if psi == 0:
         raise EmptyResult(
             f"announcement {sx.print_formula(announced)} holds nowhere; restriction is empty"

@@ -29,8 +29,8 @@ cheap.  Nodes are built only through their constructors (directly or via
 ``dataclasses.replace``, ``pickle`` or ``copy``), which return the
 interned node.  A new
 operator needs its node class, a parser rule, a printer clause and an
-evaluator clause (``EvalContext._eval``); a derived one also needs an
-``expand_derived`` clause.  The formula generators in ``fuzz`` and
+evaluator clause (an entry of ``semantics._CLAUSES``); a derived one also
+needs an ``expand_derived`` clause.  The formula generators in ``fuzz`` and
 ``bisim`` build it once it joins an operator group below or their own
 class lists.
 """

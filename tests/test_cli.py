@@ -319,3 +319,46 @@ def test_suite_pretty_output(capsys):
                        "--pretty")
     assert code == 0
     assert out.startswith("PASS")
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+# Runs each argv of a JSON list through one process's ``cli.main`` and prints
+# [exit code, stdout, stderr] for each.
+_ONE_PROCESS = """
+import contextlib, io, json, sys
+from glal import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_reused_parser_answers_like_a_fresh_one(muddy3):
+    calls = [
+        ["check", f"{muddy3}:100", "K{r} m_r", "--bogus"],
+        ["check", f"{muddy3}:100", "[m_r | m_g | m_b]-{r,g,b} K{r} m_r"],
+        ["--version"],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _ONE_PROCESS, json.dumps(calls)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    shared = json.loads(proc.stdout)
+    fresh = []
+    for argv in calls:
+        one = subprocess.run([sys.executable, "-m", "glal.cli", *argv],
+                             env=env, capture_output=True, text=True, timeout=60)
+        fresh.append([one.returncode, one.stdout, one.stderr])
+    assert [code for code, _, _ in fresh] == [64, 0, 0]
+    assert shared == fresh

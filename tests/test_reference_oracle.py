@@ -14,6 +14,7 @@ from glal import syntax as sx
 from glal.fuzz import random_formula, random_model
 from glal.semantics import EvalContext, sat_set
 from model_checks import class_names
+from uncached_context import UncachedContext
 
 
 def to_plain(model):
@@ -163,25 +164,49 @@ def test_engine_matches_reference_deep_nesting():
         assert sat_set(model, f) == ref_sat(to_plain(model), f), trial
 
 
+# Fuzzed formulas almost never tell a local announcement from a global one;
+# nested knowledge of several members and common knowledge under a two-agent
+# announcement often do, on models of three worlds or more.
+SEPARATING_ANNOUNCED = ["p", "!p", "q", "p | q"]
+SEPARATING_BODIES = ["K{a} K{b} q", "K{b} K{a} p", "K{a} C{a,b} q", "C{a,b} q",
+                     "M{a} K{b} !q", "E{a,b} K{a} p"]
+
+
+def _separating_corpus(rng, trials):
+    """(model, local formula, global formula) triples of the corpus above."""
+    for _ in range(trials):
+        model = random_model(rng, rng.randint(3, 6), ["a", "b"], ["p", "q"])
+        for psi in SEPARATING_ANNOUNCED:
+            for body in SEPARATING_BODIES:
+                for box in ("[{}]{}{{a,b}} {}", "<{}>{}{{a,b}} {}"):
+                    local, glob = (sx.parse(box.format(psi, sign, body)) for sign in "-+")
+                    yield model, local, glob
+
+
 def test_engine_matches_reference_where_local_and_global_differ():
-    # Fuzzed formulas almost never tell a local announcement from a global
-    # one; nested knowledge of several members and common knowledge under a
-    # two-agent announcement often do, on models of three worlds or more.
-    announced = ["p", "!p", "q", "p | q"]
-    bodies = ["K{a} K{b} q", "K{b} K{a} p", "K{a} C{a,b} q", "C{a,b} q",
-              "M{a} K{b} !q", "E{a,b} K{a} p"]
     rng = random.Random(7)
     ctx = EvalContext()
     differ = 0
-    for trial in range(40):
-        model = random_model(rng, rng.randint(3, 6), ["a", "b"], ["p", "q"])
+    for trial, (model, local, glob) in enumerate(_separating_corpus(rng, 40)):
         plain = to_plain(model)
-        for psi in announced:
-            for body in bodies:
-                for box in ("[{}]{}{{a,b}} {}", "<{}>{}{{a,b}} {}"):
-                    local, glob = (sx.parse(box.format(psi, sign, body)) for sign in "-+")
-                    expected = [ref_sat(plain, f) for f in (local, glob)]
-                    got = [sat_set(model, f, context=ctx) for f in (local, glob)]
-                    assert got == expected, (trial, sx.print_formula(local))
-                    differ += expected[0] != expected[1]
+        expected = [ref_sat(plain, f) for f in (local, glob)]
+        got = [sat_set(model, f, context=ctx) for f in (local, glob)]
+        assert got == expected, (trial, sx.print_formula(local))
+        differ += expected[0] != expected[1]
     assert differ >= 100
+
+
+def test_partial_need_matches_reference_where_local_and_global_differ():
+    # Asked for a random set of worlds only, the engine must agree with the
+    # reference and with the uncached evaluator on every world asked for.
+    rng = random.Random(8)
+    ctx = EvalContext()
+    for model, local, glob in _separating_corpus(rng, 20):
+        model = ctx.intern(model)
+        plain = to_plain(model)
+        for f in (local, glob):
+            need = rng.randint(1, model._full)
+            got = ctx.mask(model, f, need) & need
+            assert got == UncachedContext().mask(model, f, model._full) & need
+            assert model.world_names(got) == ref_sat(plain, f) & model.world_names(need), (
+                sx.print_formula(f))

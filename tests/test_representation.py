@@ -110,7 +110,7 @@ def test_every_constructed_model_is_canonical():
         co = random_coalition(rng, m.agents, allow_empty=True)
         built = [refine(m, w, psi, co, context=ctx)
                  for refine in (refine_local, refine_global, refine_semiprivate)]
-        if ctx.mask(ctx.intern(m), psi):
+        if ctx.mask(ctx.intern(m), psi, m._full):
             built.append(refine_pal(m, psi, context=ctx))
         for model in built:
             assert_canonical(model)

@@ -292,7 +292,7 @@ def test_shared_context_never_answers_for_a_dead_model():
     for _ in range(3000):
         m = random_model(rng, rng.randint(1, 4), ["a", "b"], ["p", "q"])
         f = random_formula(rng, 3, ["p", "q"], ["a", "b"])
-        assert shared.mask(m, f) == UncachedContext().mask(m, f)
+        assert shared.mask(m, f, m._full) == UncachedContext().mask(m, f, m._full)
 
 
 def test_calls_on_a_long_lived_model_retain_nothing():
@@ -477,3 +477,79 @@ def test_announcements_with_equal_extensions_share_refinements(monkeypatch):
     built.clear()
     assert sat_set(m, parse("[!!p]-{a,b} K{a} q"), context=ctx) == first
     assert built == []
+
+
+def _random_need(rng, model):
+    return rng.randint(1, model._full)
+
+
+def test_partial_need_agrees_with_uncached_evaluation():
+    # A shared context answers requests for random worlds; every bit asked
+    # for must match the reference, which evaluates everything everywhere.
+    rng = random.Random(1212)
+    shared = EvalContext()
+    for i in range(400):
+        agents = ["a", "b", "c"][: rng.randint(1, 3)]
+        m = shared.intern(random_model(rng, rng.randint(1, 6), agents, ["p", "q"]))
+        f = random_formula(rng, 4, ["p", "q"], agents, FRAGMENTS[i % len(FRAGMENTS)])
+        expected = UncachedContext().mask(m, f, m._full)
+        for _ in range(3):
+            need = _random_need(rng, m)
+            assert shared.mask(m, f, need) & need == expected & need, str(f)
+        fresh = EvalContext()
+        need = _random_need(rng, m)
+        assert fresh.mask(m, f, need) & need == expected & need, str(f)
+
+
+def test_partial_full_partial_requests_agree():
+    m = muddy(4)
+    point = 1 << m.world_index("1100")
+    formulas = [
+        parse("[m_r | m_g | m_b | m_c4]-{*} [!Kw{r} m_r & !Kw{g} m_g]-{r,g} K{r} m_r"),
+        parse("<m_r>+{r,g} C{r,g} m_r | [!m_g]-{b} D{r,b} !m_g"),
+        parse("E{r,g} [m_r | m_b]-{g} M{g} !m_r"),
+        parse("[m_r] (K{g} m_r | [m_g]-{b,c4} Kw{b} m_g)"),
+    ]
+    rng = random.Random(5)
+    atoms, agents = list(m.atom_names()), list(m.agents)
+    formulas += [random_formula(rng, 5, atoms, agents) for _ in range(30)]
+    for f in formulas:
+        ctx = EvalContext()
+        expected = UncachedContext().mask(m, f, m._full)
+        assert ctx.mask(m, f, point) & point == expected & point, str(f)
+        assert ctx.mask(m, f, m._full) == expected, str(f)
+        other = _random_need(rng, m)
+        assert ctx.mask(m, f, other) & other == expected & other, str(f)
+
+
+def test_pointed_local_check_refines_only_along_its_path(monkeypatch):
+    # Three nested local announcements at a point refine the model at most
+    # once each; evaluating whole satisfaction sets took 3,244 splits a check.
+    from glal import semantics
+
+    m = muddy(6)
+    defs = {
+        "alpha": parse(" | ".join(f"m_{a}" for a in m.agents)),
+        "ign": parse(" & ".join(f"!Kw{{{a}}} m_{a}" for a in m.agents)),
+        "resolved": parse(" & ".join(f"(m_{a} -> Kw{{{a}}} m_{a})" for a in m.agents)),
+    }
+    f = parse("[alpha]-{*} [ign]-{*} [ign]-{*} resolved", defs)
+    expected = sat_set(m, f, context=UncachedContext())
+    built = []
+    split = semantics._split_model
+    monkeypatch.setattr(semantics, "_split_model", lambda *a: built.append(a) or split(*a))
+    for w in m.worlds:
+        built.clear()
+        assert check(PointedModel(m, w), f) == (w in expected)
+        assert len(built) <= 3, (w, len(built))
+
+
+def test_every_formula_class_has_a_clause():
+    from glal.semantics import _CLAUSES
+    from glal.syntax import Formula
+
+    assert set(Formula.__subclasses__()) <= set(_CLAUSES)
+    m = muddy(2)
+    for bad in ("m_r", object(), 3):
+        with pytest.raises(TypeError):
+            EvalContext().mask(m, bad, m._full)

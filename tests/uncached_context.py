@@ -1,18 +1,20 @@
 """An evaluator that interns and memoizes nothing: the reference that the
 memoizing ``EvalContext`` must agree with."""
 
-from glal.semantics import EvalContext
+from glal.semantics import _CLAUSES, EvalContext
 
 
 class UncachedContext(EvalContext):
     """Re-derives every satisfaction set, refinement and component
-    decomposition, and keeps no model."""
+    decomposition, and keeps no model.  It evaluates every node on every
+    world, whatever a caller needs, so it is also the reference for
+    requests that need only some worlds."""
 
     def intern(self, model):
         return model
 
-    def mask(self, model, f):
-        return self._eval(model, f)
+    def mask(self, model, f, need):
+        return _CLAUSES[type(f)](self, model, f, model._full)
 
     def _memoized(self, model, key, build):
         return build()
