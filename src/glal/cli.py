@@ -14,7 +14,6 @@ import json
 import sys
 
 from . import GRAMMAR_VERSION, __version__
-from .bisim import distinguishing_formula_search, pointed_bisim
 from .errors import (
     BoundExceeded,
     FormatError,
@@ -24,7 +23,6 @@ from .errors import (
     UnknownWorld,
 )
 from .model import KripkeModel, PointedModel, load, save
-from .sat import SatQuery, sat_bounded, valid_bounded
 from .semantics import (
     EvalContext,
     check,
@@ -34,8 +32,6 @@ from .semantics import (
     refine_pal,
     refine_semiprivate,
 )
-from .scenarios import bit_channel, muddy
-from .suite import run_suite
 from .syntax import atoms, parse, print_formula
 
 EX_OK = 0
@@ -49,6 +45,31 @@ EX_INTERNAL = 70
 
 class _UsageError(Exception):
     pass
+
+
+# The bisimulation, SAT, scenario and suite engines load on first use, so a
+# subcommand imports only the engine it runs.  These four stay module-level
+# names that _run looks up at call time, so a caller can wrap them here.
+
+
+def sat_bounded(*args, **kwargs):
+    from .sat import sat_bounded
+    return sat_bounded(*args, **kwargs)
+
+
+def valid_bounded(*args, **kwargs):
+    from .sat import valid_bounded
+    return valid_bounded(*args, **kwargs)
+
+
+def pointed_bisim(*args, **kwargs):
+    from .bisim import pointed_bisim
+    return pointed_bisim(*args, **kwargs)
+
+
+def distinguishing_formula_search(*args, **kwargs):
+    from .bisim import distinguishing_formula_search
+    return distinguishing_formula_search(*args, **kwargs)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -249,6 +270,8 @@ def _run(args) -> int:
         return EX_OK if result.related else EX_FALSE
 
     if args.command == "sat":
+        from .sat import SatQuery
+
         formula = parse(args.formula, _load_defs(args.defs))
         query = SatQuery(
             formula,
@@ -279,11 +302,15 @@ def _run(args) -> int:
         return EX_OK if result.valid else EX_FALSE
 
     if args.command == "scenario":
+        from .scenarios import bit_channel, muddy
+
         model = muddy(args.n) if args.scenario == "muddy" else bit_channel(args.variant)
         _write_model(model, args.out)
         return EX_OK
 
     if args.command == "suite":
+        from .suite import run_suite
+
         results = run_suite(args.filter, seed=args.seed, n_models=args.models)
         if not results:
             raise _UsageError(f"--filter {args.filter!r} matches no check")

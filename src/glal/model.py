@@ -99,10 +99,7 @@ class KripkeModel:
         for atom, mask in valuation.items():
             if mask & ~full:
                 raise FormatError(f"the valuation of {atom!r} names a world beyond the last")
-        object.__setattr__(self, "worlds", worlds)
-        object.__setattr__(self, "agents", agents)
-        object.__setattr__(self, "cells", tuple(cells))
-        object.__setattr__(self, "valuation", tuple(sorted(valuation.items())))
+        self._set(worlds, agents, tuple(cells), tuple(sorted(valuation.items())))
 
     @classmethod
     def _canonical(cls, worlds, agents, cells, valuation) -> "KripkeModel":
@@ -112,8 +109,22 @@ class KripkeModel:
         restrictions) or build canonical masks themselves.
         """
         model = object.__new__(cls)
-        model.__dict__.update(worlds=worlds, agents=agents, cells=cells, valuation=valuation)
+        model._set(worlds, agents, cells, valuation)
         return model
+
+    def _set(self, worlds, agents, cells, valuation):
+        """Store the canonical fields and their hash, computed once here."""
+        self.__dict__.update(worlds=worlds, agents=agents, cells=cells, valuation=valuation,
+                             _hash=hash((worlds, agents, cells, valuation)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # pickle and copy rebuild from the fields alone, so the hash is
+        # computed again where the copy lives: string hashes differ between
+        # processes.
+        return KripkeModel, (self.worlds, self.agents, self.cells, self.valuation)
 
     # construction ---------------------------------------------------------
 

@@ -101,6 +101,8 @@ class EvalContext:
         #                                psi, cut to the union of the scopes
         #   (agent name, ...)         -> component decomposition
         self._memos: dict = {}
+        # (agent tuple, coalition) -> the coalition's sorted member names
+        self._coalitions: dict = {}
 
     def intern(self, model: KripkeModel) -> KripkeModel:
         canon = self._interned.setdefault(model, model)
@@ -203,7 +205,7 @@ class EvalContext:
     def _everybody(self, model, f, need):
         full = model._full
         partitions = [model.cells[model.agent_position(a)]
-                      for a in coalition_names(model, f.coalition)]
+                      for a in self._members(model, f.coalition)]
         region = need
         if need != full:
             region = 0
@@ -220,7 +222,7 @@ class EvalContext:
         return out
 
     def _common(self, model, f, need):
-        comps = self._components(model, coalition_names(model, f.coalition))
+        comps = self._components(model, self._members(model, f.coalition))
         region = need if need == model._full else _reach(comps, need)
         sub = self.mask(model, f.sub, region)
         out = 0
@@ -230,7 +232,7 @@ class EvalContext:
         return out
 
     def _distributed(self, model, f, need):
-        names = coalition_names(model, f.coalition)
+        names = self._members(model, f.coalition)
         if not names:
             return self.mask(model, f.sub, need)
         rows = [model._nbr[model.agent_position(a)] for a in names]
@@ -259,7 +261,7 @@ class EvalContext:
         group of worlds that split the same classes, and the body is asked
         for once per refined model, on the worlds refined to it."""
         kind, box = _ANNOUNCE_KINDS[type(f)]
-        names = coalition_names(model, f.coalition)
+        names = self._members(model, f.coalition)
         full = model._full
         psi = self.mask(model, f.announced, need)
         out = full & ~psi if box else 0
@@ -365,6 +367,15 @@ class EvalContext:
         else:
             raise ValueError(f"unknown refinement kind {kind!r}")
         return tuple([(index[a], comp) for a in names]), comp if names else 0
+
+    def _members(self, model, coalition) -> tuple:
+        """``coalition_names(model, coalition)``, resolved once per agent
+        tuple; a coalition with an unknown member raises on every call."""
+        key = (model.agents, coalition)
+        names = self._coalitions.get(key)
+        if names is None:
+            names = self._coalitions[key] = coalition_names(model, coalition)
+        return names
 
     def _pal_model(self, model, psi) -> KripkeModel:
         return self._memoized(model, psi, lambda: _restrict_model(model, psi))
@@ -543,7 +554,7 @@ def _step(ctx: EvalContext, model: KripkeModel, i: int, f: sx.Formula) -> tuple:
         key = RefinementKey("pal", (), f.announced, model.world_names(psi))
         return ctx._pal_model(model, psi), key
     kind = _ANNOUNCE_KINDS[type(f)][0]
-    names = coalition_names(model, f.coalition)
+    names = ctx._members(model, f.coalition)
     scope = ctx._scope(model, kind, names, i)[1]
     if kind == "global":
         scope |= 1 << i  # a closure holds i, even for no agents

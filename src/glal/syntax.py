@@ -21,13 +21,18 @@ identifier immediately followed by ``{``; whitespace in between is a
 syntax error.  ``*`` in agent position is the everyone placeholder
 produced by the public-announcement translation.
 
-Each operator is one frozen dataclass; its fields annotated ``Formula``
-are its subformulas, which ``children`` and ``_rebuild`` read.  Nodes are
+Each operator is one dataclass; its fields annotated ``Formula`` are its
+subformulas, which ``children`` and ``_rebuild`` read.  Nodes are
 hash-consed: structurally equal formulas are one object, so ``==`` and
 ``hash`` are identity and cost O(1), which keeps formula-keyed memos
 cheap.  Nodes are built only through their constructors (directly or via
 ``dataclasses.replace``, ``pickle`` or ``copy``), which return the
-interned node.  A new
+interned node.  The node classes are declared with ``_node``, so
+``dataclass`` generates none of their methods: construction, frozenness
+(``__setattr__`` and ``__delattr__`` raise ``FrozenInstanceError``) and
+``repr`` live once on ``Formula``, which keeps importing this module cheap.
+A node class needs a docstring, or ``dataclass`` computes one from
+``inspect.signature``, which costs more than the rest of the class.  A new
 operator needs its node class, a parser rule, a printer clause and an
 evaluator clause (an entry of ``semantics._CLAUSES``); a derived one also
 needs an ``expand_derived`` clause.  The formula generators in ``fuzz`` and
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, fields, replace
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 
 from .errors import FormulaSyntaxError, NotPalFragment, UnknownOperator
 
@@ -85,6 +90,7 @@ class Formula:
     Nodes are immutable and hash-consed: the constructor, called with the
     node's fields by position or by name, returns the one live node of that
     class with those field values.  So ``==`` and ``hash`` are identity.
+    Assigning or deleting an attribute raises ``FrozenInstanceError``.
     """
 
     __slots__ = ()
@@ -106,10 +112,21 @@ class Formula:
                 node = _NODES.setdefault(key, node)
         return node
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
     def __reduce__(self):
         # pickle and copy rebuild through the constructor, so they return
         # the interned node.
         return type(self), tuple(getattr(self, name) for name in _FIELDS[type(self)])
+
+    def __repr__(self) -> str:
+        # The dataclass format: Know(agent='a', sub=Atom(name='p')).
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in _FIELDS[type(self)])
+        return f"{type(self).__qualname__}({args})"
 
     def __str__(self) -> str:
         return print_formula(self)
@@ -120,64 +137,84 @@ class Formula:
 _NODES = weakref.WeakValueDictionary()
 _NODES_LOCK = threading.Lock()
 
+# Declares a node class: a dataclass (so ``fields`` and ``replace`` work) for
+# which ``dataclass`` generates no methods, since ``Formula`` supplies them.
+_node = dataclass(eq=False, init=False, repr=False)
 
-@dataclass(frozen=True, eq=False, init=False)
+
+@_node
 class Atom(Formula):
+    """A propositional atom."""
+
     name: str
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class Top(Formula):
-    pass
+    """The constant true."""
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class Bot(Formula):
-    pass
+    """The constant false."""
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class Not(Formula):
+    """Negation."""
+
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class And(Formula):
+    """Conjunction."""
+
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class Or(Formula):
+    """Disjunction."""
+
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class Implies(Formula):
+    """Implication."""
+
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class Iff(Formula):
+    """Biconditional."""
+
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class Know(Formula):
+    """``K{agent} sub``: the agent knows ``sub``."""
+
     agent: str
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class KnowWhether(Formula):
+    """``Kw{agent} sub``: the agent knows whether ``sub`` holds."""
+
     agent: str
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class Dual(Formula):
     """Epistemic possibility, the dual of Know."""
 
@@ -185,25 +222,31 @@ class Dual(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class Common(Formula):
+    """``C{coalition} sub``: common knowledge among the coalition."""
+
     coalition: Coalition
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class Everybody(Formula):
+    """``E{coalition} sub``: every member knows ``sub``."""
+
     coalition: Coalition
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class Distributed(Formula):
+    """``D{coalition} sub``: distributed knowledge of the coalition."""
+
     coalition: Coalition
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class AnnLocal(Formula):
     """Local announcement box: split only the actual world's classes."""
 
@@ -212,7 +255,7 @@ class AnnLocal(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class AnnGlobal(Formula):
     """Global announcement box: split every class in the closure region."""
 
@@ -221,21 +264,25 @@ class AnnGlobal(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class DiaLocal(Formula):
+    """Local announcement diamond, the dual of ``AnnLocal``."""
+
     announced: Formula
     coalition: Coalition
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class DiaGlobal(Formula):
+    """Global announcement diamond, the dual of ``AnnGlobal``."""
+
     announced: Formula
     coalition: Coalition
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class PalAnn(Formula):
     """Public announcement box in the world-deleting style."""
 

@@ -362,3 +362,57 @@ def test_reused_parser_answers_like_a_fresh_one(muddy3):
         fresh.append([one.returncode, one.stdout, one.stderr])
     assert [code for code, _, _ in fresh] == [64, 0, 0]
     assert shared == fresh
+
+
+DEFERRED = ("glal.bisim", "glal.fuzz", "glal.sat", "glal.scenarios", "glal.suite")
+ENGINE_NAMES = ("sat_bounded", "valid_bounded", "pointed_bisim", "distinguishing_formula_search")
+
+
+def test_importing_the_cli_loads_no_subcommand_engine():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, glal.cli; print(json.dumps(sorted(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert {"glal.cli", "glal.semantics"} <= loaded
+    assert not loaded & set(DEFERRED)
+
+
+def test_subcommands_call_their_engines_through_module_names(capsys, monkeypatch, channels):
+    # A caller may wrap these names on the module (the benchmark's tracer
+    # does), so _run must look them up at call time.
+    assert all(callable(cli.__dict__[name]) for name in ENGINE_NAMES)
+    called = []
+    for name in ENGINE_NAMES:
+        def wrapper(*args, _name=name, _engine=cli.__dict__[name], **kwargs):
+            called.append(_name)
+            return _engine(*args, **kwargs)
+        monkeypatch.setattr(cli, name, wrapper)
+    n, np = channels
+    assert run(capsys, "sat", "p & !p", "--max-worlds", "2")[0] == 1
+    assert run(capsys, "valid", "p | !p", "--max-worlds", "2")[0] == 0
+    assert run(capsys, "bisim", "--kind", "pm", "--left", f"{n}:w1", "--right",
+               f"{np}:w1", "--distinguish", "3")[0] == 1
+    assert called == list(ENGINE_NAMES)
+
+
+def test_deferred_subcommands_answer_alike_in_a_fresh_process(capsys, channels):
+    n, np = channels
+    calls = [
+        ["bisim", "--kind", "pm", "--left", f"{n}:w1", "--right", f"{np}:w1",
+         "--distinguish", "4"],
+        ["sat", "K{a} p & !K{b} p", "--max-worlds", "2"],
+        ["valid", "[q]-{a,b} p <-> (q -> p)", "--max-worlds", "2"],
+        ["scenario", "muddy", "--n", "3"],
+        ["suite", "--filter", "example1"],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "glal.cli", *argv],
+                               env=env, capture_output=True, text=True, timeout=120)
+        code, out, _ = run(capsys, *argv)
+        assert (fresh.returncode, fresh.stdout) == (code, out), argv

@@ -1,5 +1,11 @@
+import copy
 import json
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +192,34 @@ def test_load_save_round_trip_fuzz():
         back = load(save(m))
         assert_canonical(back)
         assert back == m and hash(back) == hash(m)
+
+
+# Pickles muddy(3) and prints the pickle (hex) and the model's hash.
+_PICKLE_MUDDY = """
+import pickle
+from glal.scenarios import muddy
+m = muddy(3)
+print(pickle.dumps(m).hex(), hash(m))
+"""
+
+
+def test_pickled_and_copied_models_hash_like_fresh_ones():
+    # A model computes its hash once; string hashes differ between
+    # processes, so a pickle from another process must not carry it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    seed = os.environ.get("PYTHONHASHSEED", "")
+    other = str(int(seed) + 1) if seed.isdigit() else "1"
+    env = dict(os.environ, PYTHONHASHSEED=other, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _PICKLE_MUDDY], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    data, their_hash = proc.stdout.split()
+    fresh = muddy(3)
+    assert int(their_hash) != hash(fresh)
+    for back in (pickle.loads(bytes.fromhex(data)), pickle.loads(pickle.dumps(fresh)),
+                 copy.copy(fresh), copy.deepcopy(fresh)):
+        assert back == fresh and hash(back) == hash(fresh)
+        assert {fresh: "found"}[back] == "found"
+        assert_canonical(back)
 
 
 def test_load_rejects_world_in_two_cells():

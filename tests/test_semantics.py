@@ -23,6 +23,7 @@ from glal.semantics import (
 )
 from glal.scenarios import at_least_one_muddy, bit_channel, muddy
 from glal.syntax import (
+    EVERYONE,
     AnnGlobal,
     AnnLocal,
     Atom,
@@ -190,6 +191,29 @@ def test_check_example1_global_booleans():
 def test_check_unknown_agent():
     with pytest.raises(UnknownAgent):
         check(PointedModel(muddy(2), "10"), parse("K{z} m_r"))
+
+
+def test_each_coalition_is_resolved_once_per_agent_set(monkeypatch):
+    from glal import semantics
+
+    resolved = []
+    resolve = semantics.coalition_names
+    monkeypatch.setattr(semantics, "coalition_names",
+                        lambda m, c: resolved.append(c) or resolve(m, c))
+    ctx = EvalContext()
+    f = parse(f"[{ALPHA}]+{{r,g,b}} C{{r,g}} E{{r,g}} (D{{r,g}} m_r | [!m_b]-{{*}} E{{*}} m_g)")
+    m = muddy(3)
+    assert sat_set(m, f, context=ctx) == sat_set(m, f, context=UncachedContext())
+    coalitions = [Coalition.of("r", "g", "b"), Coalition.of("r", "g"), EVERYONE]
+    assert sorted(resolved, key=str) == sorted(coalitions, key=str)
+    resolved.clear()
+    sat_set(muddy(2), parse("E{r,g} m_r & [m_r]-{*} C{r,g} m_g"), context=ctx)
+    assert sorted(resolved, key=str) == sorted(coalitions[1:], key=str)
+    # A coalition with an unknown member is not memoized: it raises each time.
+    bad = parse("m_r -> C{r,z} m_g")
+    for _ in range(2):
+        with pytest.raises(UnknownAgent):
+            check(PointedModel(m, "100"), bad, context=ctx)
 
 
 def test_empty_coalition_announcement_reduces_to_implication():

@@ -19,10 +19,12 @@ from glal.syntax import (
     BOT,
     Coalition,
     Common,
+    DiaGlobal,
     DiaLocal,
     Distributed,
     Dual,
     Everybody,
+    Formula,
     Iff,
     Implies,
     Know,
@@ -294,6 +296,71 @@ def test_node_constructors_check_their_fields():
             build()
     with pytest.raises(dataclasses.FrozenInstanceError):
         Atom("p").name = "q"
+
+
+_P, _A = Atom("p"), Coalition.of("a")
+
+# One node of every class, with its repr in the dataclass format.
+NODE_REPRS = [
+    (_P, "Atom(name='p')"),
+    (TOP, "Top()"),
+    (BOT, "Bot()"),
+    (Not(_P), "Not(sub=Atom(name='p'))"),
+    (And(_P, TOP), "And(left=Atom(name='p'), right=Top())"),
+    (Or(_P, BOT), "Or(left=Atom(name='p'), right=Bot())"),
+    (Implies(TOP, _P), "Implies(left=Top(), right=Atom(name='p'))"),
+    (Iff(BOT, _P), "Iff(left=Bot(), right=Atom(name='p'))"),
+    (Know("a", _P), "Know(agent='a', sub=Atom(name='p'))"),
+    (KnowWhether("b", _P), "KnowWhether(agent='b', sub=Atom(name='p'))"),
+    (Dual("a", TOP), "Dual(agent='a', sub=Top())"),
+    (Common(_A, _P),
+     "Common(coalition=Coalition(members=frozenset({'a'}), everyone=False), "
+     "sub=Atom(name='p'))"),
+    (Everybody(EVERYONE, _P),
+     "Everybody(coalition=Coalition(members=frozenset(), everyone=True), "
+     "sub=Atom(name='p'))"),
+    (Distributed(Coalition.of(), _P),
+     "Distributed(coalition=Coalition(members=frozenset(), everyone=False), "
+     "sub=Atom(name='p'))"),
+    (AnnLocal(_P, _A, TOP),
+     "AnnLocal(announced=Atom(name='p'), coalition=Coalition(members=frozenset({'a'}), "
+     "everyone=False), sub=Top())"),
+    (AnnGlobal(TOP, EVERYONE, _P),
+     "AnnGlobal(announced=Top(), coalition=Coalition(members=frozenset(), everyone=True), "
+     "sub=Atom(name='p'))"),
+    (DiaLocal(_P, _A, Know("a", _P)),
+     "DiaLocal(announced=Atom(name='p'), coalition=Coalition(members=frozenset({'a'}), "
+     "everyone=False), sub=Know(agent='a', sub=Atom(name='p')))"),
+    (DiaGlobal(BOT, _A, _P),
+     "DiaGlobal(announced=Bot(), coalition=Coalition(members=frozenset({'a'}), "
+     "everyone=False), sub=Atom(name='p'))"),
+    (PalAnn(_P, Not(_P)), "PalAnn(announced=Atom(name='p'), sub=Not(sub=Atom(name='p')))"),
+]
+
+
+def test_every_node_class_keeps_the_dataclass_contract():
+    assert {type(node) for node, _ in NODE_REPRS} == set(Formula.__subclasses__())
+    for node, text in NODE_REPRS:
+        cls = type(node)
+        assert repr(node) == text
+        # A class without a docstring gets one that dataclass computes from
+        # inspect.signature, which is most of the cost of creating the class.
+        assert cls.__doc__ and not cls.__doc__.startswith(cls.__name__ + "(")
+        assert dataclasses.is_dataclass(node) and dataclasses.is_dataclass(cls)
+        names = tuple(field.name for field in dataclasses.fields(cls))
+        assert text == f"{cls.__name__}(" + ", ".join(
+            f"{name}={getattr(node, name)!r}" for name in names) + ")"
+        assert dataclasses.replace(node) is node
+        assert dataclasses.replace(node, **{n: getattr(node, n) for n in names}) is node
+        if "sub" in names:
+            assert dataclasses.replace(node, sub=BOT) is cls(
+                *(BOT if n == "sub" else getattr(node, n) for n in names))
+        for name in names + ("extra",):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, TOP)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, name)
+        assert repr(node) == text and not hasattr(node, "extra")
 
 
 def test_node_table_holds_only_live_formulas():

@@ -1,14 +1,15 @@
 """An evaluator that interns and memoizes nothing: the reference that the
 memoizing ``EvalContext`` must agree with."""
 
+from glal.model import coalition_names
 from glal.semantics import _CLAUSES, EvalContext
 
 
 class UncachedContext(EvalContext):
-    """Re-derives every satisfaction set, refinement and component
-    decomposition, and keeps no model.  It evaluates every node on every
-    world, whatever a caller needs, so it is also the reference for
-    requests that need only some worlds."""
+    """Re-derives every satisfaction set, refinement, component
+    decomposition and coalition, and keeps no model.  It evaluates every
+    node on every world, whatever a caller needs, so it is also the
+    reference for requests that need only some worlds."""
 
     def intern(self, model):
         return model
@@ -21,3 +22,6 @@ class UncachedContext(EvalContext):
 
     def _components(self, model, names):
         return model.components(names)
+
+    def _members(self, model, coalition):
+        return coalition_names(model, coalition)
