@@ -32,7 +32,7 @@ from .semantics import (
     refine_pal,
     refine_semiprivate,
 )
-from .syntax import atoms, parse, print_formula
+from .syntax import atoms, is_name, parse, print_formula
 
 EX_OK = 0
 EX_FALSE = 1
@@ -109,6 +109,9 @@ def _load_defs(path: str | None) -> dict:
         isinstance(v, str) for v in data.values()
     ):
         raise FormatError("alias file must map names to formula strings")
+    for name in data:
+        if not is_name(name):
+            raise FormatError(f"alias name {name!r} is not an identifier")
     defs = {name: parse(body) for name, body in data.items()}
     for name, body in defs.items():
         inside = atoms(body) & set(defs)

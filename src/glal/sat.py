@@ -27,7 +27,7 @@ from math import factorial
 
 from . import syntax as sx
 from .errors import BoundExceeded, FormatError
-from .model import KripkeModel, PointedModel, iter_bits, lowest_bit
+from .model import KripkeModel, PointedModel, lowest_bit
 from .semantics import EvalContext
 
 MAX_WORLDS = 6
@@ -151,7 +151,7 @@ def sat_bounded(query: SatQuery) -> SatResult:
     for what, names in (("agent", agents), ("atom", atoms)):
         # A name outside the identifier syntax is one no formula can mention.
         for name in names:
-            if not name or not set(name) <= sx._IDENT_CHARS or name in ("true", "false"):
+            if not sx.is_name(name):
                 raise FormatError(f"{what} name {name!r} is not an identifier")
         if len(set(names)) != len(names):
             raise FormatError(f"duplicate {what} names")
@@ -160,13 +160,11 @@ def sat_bounded(query: SatQuery) -> SatResult:
     examined = 0
     ctx = EvalContext()
     for n in range(1, top + 1):
-        worlds = tuple(f"s{i}" for i in range(n))
-        model_worlds = tuple(sorted(worlds))
-        # Enumerated masks index ``worlds``; a model's bit j is model_worlds[j].
-        bit = [1 << model_worlds.index(w) for w in worlds]
-        to_model = [sum(bit[i] for i in iter_bits(m)) for m in range(2 ** n)]
+        # Zero-padded, so the names sort in index order: enumerated masks are
+        # model masks, and cells listed by least member are canonical.
+        worlds = tuple(f"s{i:0{len(str(n - 1))}}" for i in range(n))
         partitions = [
-            tuple(sorted((sum(bit[i] for i in cell) for cell in cells), key=lowest_bit))
+            tuple(sum(1 << i for i in cell) for cell in cells)
             for cells in partitions_as_cells(n)
         ]
         relabelings = _relabelings(n)
@@ -182,8 +180,7 @@ def sat_bounded(query: SatQuery) -> SatResult:
                 if any(tuple(on_masks[v] for v in vals) < vals
                        for on_masks in automorphisms):
                     continue
-                model = _build(model_worlds, model_agents, cells, atoms,
-                               [to_model[v] for v in vals])
+                model = _build(worlds, model_agents, cells, atoms, vals)
                 model = ctx.intern(model)
                 mask = ctx.mask(model, query.formula, model._full)
                 if mask:

@@ -16,10 +16,17 @@ The concrete grammar (ASCII, loosest to tightest binding):
     sign    := "-" | "+" | ""                "" only for singleton coalitions
     agents  := IDENT ("," IDENT)* | "*" | ""
 
-K/Kw/M take exactly one agent.  An operator head (``K{`` etc.) is an
-identifier immediately followed by ``{``; whitespace in between is a
-syntax error.  ``*`` in agent position is the everyone placeholder
-produced by the public-announcement translation.
+K/Kw/M take exactly one agent.  An identifier is ``[A-Za-z0-9_]+`` other
+than ``true`` and ``false``, and whitespace is space, tab, CR and LF.  An
+operator head (``K{`` etc.) is an identifier immediately followed by ``{``;
+whitespace in between is a syntax error.  ``*`` in agent position is the
+everyone placeholder produced by the public-announcement translation.
+
+One compiled pattern, ``_TOKEN``, splits the text into ``(kind, text,
+offset)`` tokens; a syntax error works out its line and column from the
+offset when it is raised.  The parser is recursive descent: one method
+reads every binary level of ``_BINARY_LEVELS``, and each node it builds is
+checked against ``MAX_DEPTH`` through the depth the node stores.
 
 Each operator is one dataclass; its fields annotated ``Formula`` are its
 subformulas, which ``children`` and ``_rebuild`` read.  Nodes are
@@ -31,17 +38,21 @@ interned node.  The node classes are declared with ``_node``, so
 ``dataclass`` generates none of their methods: construction, frozenness
 (``__setattr__`` and ``__delattr__`` raise ``FrozenInstanceError``) and
 ``repr`` live once on ``Formula``, which keeps importing this module cheap.
-A node class needs a docstring, or ``dataclass`` computes one from
+A new node also stores its depth, which is not a field, so ``depth`` costs
+O(1).  A node class needs a docstring, or ``dataclass`` computes one from
 ``inspect.signature``, which costs more than the rest of the class.  A new
-operator needs its node class, a parser rule, a printer clause and an
-evaluator clause (an entry of ``semantics._CLAUSES``); a derived one also
-needs an ``expand_derived`` clause.  The formula generators in ``fuzz`` and
-``bisim`` build it once it joins an operator group below or their own
-class lists.
+operator needs its node class, a printer clause and an evaluator clause (an
+entry of ``semantics._CLAUSES``), and a parser rule: a binary connective is
+one more row of ``_BINARY_LEVELS`` (and its glyph in ``_TOKEN`` if new), an
+epistemic one an entry of ``_AGENT_HEADS`` or ``_COALITION_HEADS``.  A
+derived one also needs an ``expand_derived`` clause.  The formula generators
+in ``fuzz`` and ``bisim`` build it once it joins an operator group below or
+their own class lists.
 """
 
 from __future__ import annotations
 
+import re
 import threading
 import weakref
 from dataclasses import FrozenInstanceError, dataclass, fields, replace
@@ -50,10 +61,9 @@ from .errors import FormulaSyntaxError, NotPalFragment, UnknownOperator
 
 # Deepest formula (a leaf has depth 1) and deepest nesting of operators and
 # parentheses that parse accepts.  Evaluation recurses about three frames per
-# level and the parser up to seven, inside the default recursion limit of 1000.
+# level and the parser up to four, plus one per enclosing binary connective,
+# inside the default recursion limit of 1000.
 MAX_DEPTH = 100
-
-_IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
 
 @dataclass(frozen=True)
@@ -90,7 +100,9 @@ class Formula:
     Nodes are immutable and hash-consed: the constructor, called with the
     node's fields by position or by name, returns the one live node of that
     class with those field values.  So ``==`` and ``hash`` are identity.
-    Assigning or deleting an attribute raises ``FrozenInstanceError``.
+    Assigning or deleting an attribute raises ``FrozenInstanceError``.  A
+    new node stores its depth (1 + its deepest subformula's) in ``_depth``,
+    which is not a field.
     """
 
     __slots__ = ()
@@ -106,8 +118,16 @@ class Formula:
         node = _NODES.get(key)
         if node is None:
             node = super().__new__(cls)
-            for name, value in zip(names, args):
-                object.__setattr__(node, name, value)
+            values = node.__dict__
+            values.update(zip(names, args))
+            deepest = 0
+            for name in _SUBFORMULAS[cls]:
+                sub = values[name]
+                if not isinstance(sub, Formula):
+                    raise TypeError(f"{cls.__name__}.{name} must be a formula node, not {sub!r}")
+                if sub._depth > deepest:
+                    deepest = sub._depth
+            values["_depth"] = deepest + 1
             with _NODES_LOCK:  # publish only a complete node, and only one per key
                 node = _NODES.setdefault(key, node)
         return node
@@ -333,8 +353,8 @@ def size(f: Formula) -> int:
 
 
 def depth(f: Formula) -> int:
-    subs = children(f)
-    return 1 + (max(depth(c) for c in subs) if subs else 0)
+    """Height of the formula tree (a leaf has depth 1), stored on each node."""
+    return f._depth
 
 
 def atoms(f: Formula) -> frozenset:
@@ -371,274 +391,202 @@ def agents(f: Formula) -> frozenset:
 # Lexer
 # ---------------------------------------------------------------------------
 
-_BOX_NAMES = {"K", "C", "E", "Kw", "M", "D"}
+# An atom, agent or alias name.  The ASCII classes are spelled out, since
+# ``\w`` would also match other letters and digits.
+_IDENT = "[A-Za-z0-9_]+"
+
+# One token after optional whitespace.  An operator or constant is its own
+# kind; an identifier glued to "{" heads an operator block; the empty match
+# at the end is "eof", and any other character is "bad".
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:"
+    r"(?P<op><->|->|[()\[\]<>{},!&|+*-]|(?:true|false)(?![A-Za-z0-9_{]))"
+    r"|(?P<boxhead>" + _IDENT + r")(?=\{)"
+    r"|(?P<ident>" + _IDENT + r")"
+    r"|(?P<eof>)\Z"
+    r"|(?P<bad>.))",
+    re.DOTALL,
+)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str):
-    tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        start_col = col
-        if text.startswith("<->", i):
-            tokens.append(_Token("<->", "<->", line, col))
-            i += 3
-            col += 3
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("->", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "()[]<>{},!&|+-*":
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _IDENT_CHARS:
-            j = i
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            name = text[i:j]
-            col += j - i
-            i = j
-            # An identifier glued to "{" heads an operator block.
-            if i < n and text[i] == "{":
-                tokens.append(_Token("boxhead", name, line, start_col))
-                tokens.append(_Token("{", "{", line, col))
-                i += 1
-                col += 1
-            elif name == "true":
-                tokens.append(_Token("true", name, line, start_col))
-            elif name == "false":
-                tokens.append(_Token("false", name, line, start_col))
-            else:
-                tokens.append(_Token("ident", name, line, start_col))
-            continue
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def is_name(text: str) -> bool:
+    """Whether a formula can mention ``text`` as an atom, agent or alias."""
+    return re.fullmatch(_IDENT, text) is not None and text not in ("true", "false")
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
+# The binary connectives, loosest first.  "->" associates to the right, the
+# others to the left.
+_BINARY_LEVELS = (("<->", Iff), ("->", Implies), ("|", Or), ("&", And))
+_BINARY = {kind: (level, cls) for level, (kind, cls) in enumerate(_BINARY_LEVELS)}
+_AGENT_HEADS = {"K": Know, "Kw": KnowWhether, "M": Dual}
+_COALITION_HEADS = {"C": Common, "E": Everybody, "D": Distributed}
+# Announcement classes by opening bracket, unsigned or "-" first, then "+".
+_ANNOUNCEMENTS = {"[": (AnnLocal, AnnGlobal), "<": (DiaLocal, DiaGlobal)}
+
 
 class _Parser:
-    def __init__(self, tokens, aliases):
-        self.tokens = tokens
-        self.pos = 0
-        self.nesting = 0
-        self.aliases = aliases  # identifier -> (formula, its depth)
+    """Recursive descent over ``(kind, text, offset)`` tokens."""
 
-    def peek(self) -> _Token:
+    def __init__(self, text: str, aliases):
+        self.text = text
+        self.aliases = aliases  # identifier -> formula
+        self.nesting = 0
+        self.pos = 0
+        self.tokens = []
+        for match in _TOKEN.finditer(text):
+            group = match.lastgroup
+            word = match[group]
+            if group == "bad":
+                raise self.error(match.start(group), f"unexpected character {word!r}")
+            self.tokens.append((word if group == "op" else group, word, match.start(group)))
+
+    def error(self, offset: int, message: str, expected=(), kind=FormulaSyntaxError):
+        """The error at ``offset`` in the text, placed by line and column."""
+        line = self.text.count("\n", 0, offset) + 1
+        column = offset - self.text.rfind("\n", 0, offset)
+        return kind(message, line, column, expected)
+
+    def unexpected(self, expected) -> FormulaSyntaxError:
+        _, word, offset = self.peek()
+        return self.error(offset, f"unexpected {word or 'end of input'!r}", expected)
+
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, expected=None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise FormulaSyntaxError(
-                f"unexpected {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.column,
-                expected or {kind},
-            )
+    def expect(self, kind: str, expected=None) -> tuple:
+        if self.peek()[0] != kind:
+            raise self.unexpected(expected or {kind})
         return self.advance()
 
-    def fail(self, expected) -> FormulaSyntaxError:
-        tok = self.peek()
-        return FormulaSyntaxError(
-            f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.column, expected
-        )
+    def limit(self, depth: int, tok: tuple) -> None:
+        """Raise at ``tok`` if ``depth``, of a node or of the nesting, passes the limit."""
+        if depth > MAX_DEPTH:
+            raise self.error(tok[2], f"formula nested deeper than {MAX_DEPTH} levels")
 
     # grammar levels -------------------------------------------------------
     #
-    # Each level returns the parsed node and its depth (a leaf has depth 1).
+    # Each level returns the parsed node; a node is checked against the depth
+    # limit at the operator that built it.
 
-    def deeper(self, depth: int, tok: _Token) -> int:
-        """Depth of a node over a child of ``depth``, checked against the limit."""
-        if depth >= MAX_DEPTH:
-            raise FormulaSyntaxError(
-                f"formula nested deeper than {MAX_DEPTH} levels", tok.line, tok.column
-            )
-        return depth + 1
+    def binary(self, level: int = 0) -> Formula:
+        """A formula whose connectives bind no looser than ``_BINARY_LEVELS[level]``.
 
-    def formula(self) -> tuple:
-        left, d = self.implication()
-        while self.peek().kind == "<->":
-            tok = self.advance()
-            right, e = self.implication()
-            left, d = Iff(left, right), self.deeper(max(d, e), tok)
-        return left, d
+        Operator-precedence parsing: a left-associative connective folds as
+        it reads, and "->" reads its whole chain, then folds from the right.
+        """
+        left = self.unary()
+        while True:
+            kind = self.peek()[0]
+            at, cls = _BINARY.get(kind, (-1, None))
+            if at < level:
+                return left
+            if kind != "->":
+                tok = self.advance()
+                left = cls(left, self.binary(at + 1))
+                self.limit(left._depth, tok)
+                continue
+            operands, arrows = [left], []
+            while self.peek()[0] == kind:
+                arrows.append(self.advance())
+                operands.append(self.binary(at + 1))
+            left = operands.pop()
+            while operands:
+                left = cls(operands.pop(), left)
+                self.limit(left._depth, arrows.pop())
 
-    def implication(self) -> tuple:
-        operands, arrows = [self.disjunction()], []
-        while self.peek().kind == "->":
-            arrows.append(self.advance())
-            operands.append(self.disjunction())
-        right, d = operands.pop()
-        while operands:
-            (left, e), tok = operands.pop(), arrows.pop()
-            right, d = Implies(left, right), self.deeper(max(d, e), tok)
-        return right, d
-
-    def disjunction(self) -> tuple:
-        left, d = self.conjunction()
-        while self.peek().kind == "|":
-            tok = self.advance()
-            right, e = self.conjunction()
-            left, d = Or(left, right), self.deeper(max(d, e), tok)
-        return left, d
-
-    def conjunction(self) -> tuple:
-        left, d = self.unary()
-        while self.peek().kind == "&":
-            tok = self.advance()
-            right, e = self.unary()
-            left, d = And(left, right), self.deeper(max(d, e), tok)
-        return left, d
-
-    def unary(self) -> tuple:
+    def unary(self) -> Formula:
         # Every recursive descent passes through here, so bounding the
         # nesting of unary levels (parentheses included) bounds the stack.
         tok = self.peek()
-        self.nesting = self.deeper(self.nesting, tok)
+        self.nesting += 1
+        self.limit(self.nesting, tok)
         node = self.operand(tok)
         self.nesting -= 1
+        self.limit(node._depth, tok)  # "!", a box or an announcement built here
         return node
 
-    def operand(self, tok: _Token) -> tuple:
-        if tok.kind == "!":
+    def operand(self, tok: tuple) -> Formula:
+        kind, word, _ = tok
+        if kind == "!":
             self.advance()
-            sub, d = self.unary()
-            return Not(sub), self.deeper(d, tok)
-        if tok.kind == "(":
+            return Not(self.unary())
+        if kind == "(":
             self.advance()
-            inner = self.formula()
+            inner = self.binary()
             self.expect(")")
             return inner
-        if tok.kind == "true":
+        if kind in ("true", "false"):
             self.advance()
-            return TOP, 1
-        if tok.kind == "false":
+            return TOP if kind == "true" else BOT
+        if kind == "ident":
             self.advance()
-            return BOT, 1
-        if tok.kind == "ident":
-            self.advance()
-            alias = self.aliases.get(tok.text)
-            if alias is None:
-                return Atom(tok.text), 1
+            body = self.aliases.get(word)
+            if body is None:
+                return Atom(word)
             # The body's levels continue below its position.
-            if self.nesting + alias[1] - 1 > MAX_DEPTH:
-                raise FormulaSyntaxError(
-                    f"formula nested deeper than {MAX_DEPTH} levels", tok.line, tok.column
-                )
-            return alias
-        if tok.kind == "boxhead":
+            self.limit(self.nesting + body._depth - 1, tok)
+            return body
+        if kind == "boxhead":
             return self.epistemic_box()
-        if tok.kind == "[":
-            return self.announcement("[", "]")
-        if tok.kind == "<":
-            return self.announcement("<", ">")
-        raise self.fail({"formula"})
+        if kind in _ANNOUNCEMENTS:
+            return self.announcement()
+        raise self.unexpected({"formula"})
 
-    def epistemic_box(self) -> tuple:
-        head = self.advance()
-        if head.text not in _BOX_NAMES:
-            raise UnknownOperator(
-                f"unknown operator {head.text + '{…}'!r}", head.line, head.column
-            )
+    def epistemic_box(self) -> Formula:
+        _, name, offset = self.advance()
+        if name not in _AGENT_HEADS and name not in _COALITION_HEADS:
+            raise self.error(offset, f"unknown operator {name + '{…}'!r}", kind=UnknownOperator)
         self.expect("{")
         coalition = self.agent_list()
         self.expect("}")
-        if head.text in ("K", "Kw", "M"):
+        if name in _AGENT_HEADS:
             if coalition.everyone or len(coalition.members) != 1:
-                raise FormulaSyntaxError(
-                    f"{head.text}{{…}} takes exactly one agent", head.line, head.column
-                )
+                raise self.error(offset, f"{name}{{…}} takes exactly one agent")
             (agent,) = coalition.members
-            sub, d = self.unary()
-            cls = {"K": Know, "Kw": KnowWhether, "M": Dual}[head.text]
-            return cls(agent, sub), self.deeper(d, head)
-        sub, d = self.unary()
-        cls = {"C": Common, "E": Everybody, "D": Distributed}[head.text]
-        return cls(coalition, sub), self.deeper(d, head)
+            return _AGENT_HEADS[name](agent, self.unary())
+        return _COALITION_HEADS[name](coalition, self.unary())
 
-    def announcement(self, open_kind: str, close_kind: str) -> tuple:
-        open_tok = self.expect(open_kind)
-        announced, e = self.formula()
-        self.expect(close_kind)
+    def announcement(self) -> Formula:
+        opening, _, offset = self.advance()
+        announced = self.binary()
+        self.expect("]" if opening == "[" else ">")
         sign = self.peek()
-        if sign.kind in ("-", "+"):
+        if sign[0] in ("-", "+"):
             self.advance()
-            self.expect("{")
-            coalition = self.agent_list()
-            self.expect("}")
-            sub, d = self.unary()
-            if open_kind == "[":
-                cls = AnnLocal if sign.kind == "-" else AnnGlobal
-            else:
-                cls = DiaLocal if sign.kind == "-" else DiaGlobal
-            return cls(announced, coalition, sub), self.deeper(max(d, e), open_tok)
-        if sign.kind == "{":
-            self.advance()
-            coalition = self.agent_list()
-            self.expect("}")
-            if coalition.everyone or len(coalition.members) != 1:
-                raise FormulaSyntaxError(
-                    "announcement without sign takes exactly one agent",
-                    sign.line,
-                    sign.column,
-                )
-            sub, d = self.unary()
-            # Local and global refinements coincide for a single agent.
-            cls = AnnLocal if open_kind == "[" else DiaLocal
-            return cls(announced, coalition, sub), self.deeper(max(d, e), open_tok)
-        if open_kind == "[":
-            sub, d = self.unary()
-            return PalAnn(announced, sub), self.deeper(max(d, e), open_tok)
-        raise FormulaSyntaxError(
-            "diamond announcement needs a sign or singleton coalition",
-            open_tok.line,
-            open_tok.column,
-            {"-", "+", "{"},
-        )
+        elif sign[0] != "{":
+            if opening == "[":
+                return PalAnn(announced, self.unary())
+            raise self.error(offset, "diamond announcement needs a sign or singleton coalition",
+                             {"-", "+", "{"})
+        self.expect("{")
+        coalition = self.agent_list()
+        self.expect("}")
+        if sign[0] == "{" and (coalition.everyone or len(coalition.members) != 1):
+            raise self.error(sign[2], "announcement without sign takes exactly one agent")
+        # Local and global refinements coincide for a single agent.
+        cls = _ANNOUNCEMENTS[opening][sign[0] == "+"]
+        return cls(announced, coalition, self.unary())
 
     def agent_list(self) -> Coalition:
-        tok = self.peek()
-        if tok.kind == "}":
+        kind = self.peek()[0]
+        if kind == "}":
             return Coalition(frozenset())
-        if tok.kind == "*":
+        if kind == "*":
             self.advance()
             return EVERYONE
-        names = [self.expect("ident", {"agent name", "*", "}"}).text]
-        while self.peek().kind == ",":
+        names = [self.expect("ident", {"agent name", "*", "}"})[1]]
+        while self.peek()[0] == ",":
             self.advance()
-            names.append(self.expect("ident", {"agent name"}).text)
+            names.append(self.expect("ident", {"agent name"})[1])
         return Coalition(frozenset(names))
 
 
@@ -651,14 +599,11 @@ def parse(text: str, aliases=None) -> Formula:
     alias bodies, are rejected, so that printing and evaluating a parsed
     formula stay within the interpreter's default recursion limit.
     """
-    bodies = {name: (body, depth(body)) for name, body in (aliases or {}).items()}
-    parser = _Parser(_tokenize(text), bodies)
-    result, _ = parser.formula()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise FormulaSyntaxError(
-            f"trailing input {tok.text!r}", tok.line, tok.column, {"end of input"}
-        )
+    parser = _Parser(text, aliases or {})
+    result = parser.binary()
+    kind, word, offset = parser.peek()
+    if kind != "eof":
+        raise parser.error(offset, f"trailing input {word!r}", {"end of input"})
     return result
 
 

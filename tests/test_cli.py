@@ -73,6 +73,17 @@ def test_recursive_defs_rejected(capsys, muddy3, tmp_path):
     assert "one pass" in err
 
 
+def test_defs_names_must_be_identifiers(capsys, muddy3, tmp_path):
+    # An alias named "true" would never replace the constant, and "a b" never
+    # lexes as one identifier: both are rejected rather than ignored.
+    defs = tmp_path / "defs.json"
+    for name in ["true", "false", "a b", "", "m_r{", "é"]:
+        defs.write_text(json.dumps({"alpha": "m_r", name: "m_r & !m_r"}))
+        code, out, err = run(capsys, "check", f"{muddy3}:100", "true", "--defs", str(defs))
+        assert code == 66 and out == ""
+        assert f"alias name {name!r} is not an identifier" in err
+
+
 def test_defs_replace_atoms_not_agent_names(capsys, muddy3, tmp_path):
     defs = tmp_path / "defs.json"
     defs.write_text(json.dumps({"r": "m_r"}))

@@ -95,13 +95,91 @@ def test_unknown_operator():
         parse("Q{a} p")
 
 
-def test_error_positions():
-    try:
-        parse("p &\n& q")
-    except FormulaSyntaxError as exc:
-        assert exc.line == 2 and exc.column == 1
-    else:
-        pytest.fail("expected a syntax error")
+_DEEP = "!" * (syntax.MAX_DEPTH - 1) + "p"
+_CONJUNCTS = " & ".join(["p"] * (syntax.MAX_DEPTH + 1))
+_TOO_DEEP = f"formula nested deeper than {syntax.MAX_DEPTH} levels at 1:"
+
+# One row per raise site: id, text, exception type, str, line, column, expected.
+# Parsed with "deep" an alias for a formula of the full depth limit.
+ERROR_POSITIONS = [
+    ("bad-e-acute", "p é q", FormulaSyntaxError,
+     "unexpected character 'é' at 1:3", 1, 3, set()),
+    ("bad-form-feed", "p &\x0cq", FormulaSyntaxError,
+     "unexpected character '\\x0c' at 1:4", 1, 4, set()),
+    ("bad-nbsp", "K{a}\xa0p", FormulaSyntaxError,
+     "unexpected character '\\xa0' at 1:5", 1, 5, set()),
+    ("bad-after-newline", "(p)\n  $", FormulaSyntaxError,
+     "unexpected character '$' at 2:3", 2, 3, set()),
+    ("column-after-tab", "p\t\t& )", FormulaSyntaxError,
+     "unexpected ')' at 1:6 (expected formula)", 1, 6, {"formula"}),
+    ("column-after-cr", "p\r\r& )", FormulaSyntaxError,
+     "unexpected ')' at 1:6 (expected formula)", 1, 6, {"formula"}),
+    ("end-after-newline", "p &\n", FormulaSyntaxError,
+     "unexpected 'end of input' at 2:1 (expected formula)", 2, 1, {"formula"}),
+    ("operator-after-newline", "p &\n& q", FormulaSyntaxError,
+     "unexpected '&' at 2:1 (expected formula)", 2, 1, {"formula"}),
+    ("unclosed-parenthesis", "(p\n", FormulaSyntaxError,
+     "unexpected 'end of input' at 2:1 (expected ))", 2, 1, {")"}),
+    ("unclosed-agents", "K{r", FormulaSyntaxError,
+     "unexpected 'end of input' at 1:4 (expected })", 1, 4, {"}"}),
+    ("agent-list-start", "K{,} p", FormulaSyntaxError,
+     "unexpected ',' at 1:3 (expected *, agent name, })", 1, 3, {"*", "agent name", "}"}),
+    ("agent-list-after-comma", "C{a,} p", FormulaSyntaxError,
+     "unexpected '}' at 1:5 (expected agent name)", 1, 5, {"agent name"}),
+    ("sign-without-brace", "[p]+ q", FormulaSyntaxError,
+     "unexpected 'q' at 1:6 (expected {)", 1, 6, {"{"}),
+    ("unclosed-box", "[p q", FormulaSyntaxError,
+     "unexpected 'q' at 1:4 (expected ])", 1, 4, {"]"}),
+    ("unclosed-diamond", "<p]+{a} q", FormulaSyntaxError,
+     "unexpected ']' at 1:3 (expected >)", 1, 3, {">"}),
+    ("trailing", "p q", FormulaSyntaxError,
+     "trailing input 'q' at 1:3 (expected end of input)", 1, 3, {"end of input"}),
+    ("trailing-after-implication", "(p) -> q r", FormulaSyntaxError,
+     "trailing input 'r' at 1:10 (expected end of input)", 1, 10, {"end of input"}),
+    ("unknown-operator", "Q{a} p", UnknownOperator,
+     "unknown operator 'Q{…}' at 1:1", 1, 1, set()),
+    ("constant-as-operator", "true{a} p", UnknownOperator,
+     "unknown operator 'true{…}' at 1:1", 1, 1, set()),
+    ("K-two-agents", "K{a,b} p", FormulaSyntaxError,
+     "K{…} takes exactly one agent at 1:1", 1, 1, set()),
+    ("Kw-no-agent", "Kw{} p", FormulaSyntaxError,
+     "Kw{…} takes exactly one agent at 1:1", 1, 1, set()),
+    ("M-everyone", "M{*} p", FormulaSyntaxError,
+     "M{…} takes exactly one agent at 1:1", 1, 1, set()),
+    ("unsigned-two-agents", "[p]{a,b} q", FormulaSyntaxError,
+     "announcement without sign takes exactly one agent at 1:4", 1, 4, set()),
+    ("unsigned-everyone-after-newline", "\t\n\t[p]{*} q", FormulaSyntaxError,
+     "announcement without sign takes exactly one agent at 2:5", 2, 5, set()),
+    ("diamond-without-sign", "<p>\n q", FormulaSyntaxError,
+     "diamond announcement needs a sign or singleton coalition at 1:1 (expected +, -, {)",
+     1, 1, {"+", "-", "{"}),
+    ("depth-not", "!" + _DEEP, FormulaSyntaxError,
+     _TOO_DEEP + "101", 1, 101, set()),
+    ("depth-and", _CONJUNCTS, FormulaSyntaxError,
+     _TOO_DEEP + "399", 1, 399, set()),
+    ("depth-implies", _CONJUNCTS.replace("&", "->"), FormulaSyntaxError,
+     _TOO_DEEP + "3", 1, 3, set()),
+    ("depth-parentheses", "(" * 101 + "p" + ")" * 101, FormulaSyntaxError,
+     _TOO_DEEP + "101", 1, 101, set()),
+    ("depth-alias-not", "!deep", FormulaSyntaxError,
+     _TOO_DEEP + "2", 1, 2, set()),
+    ("depth-alias-parentheses", "p & (deep)", FormulaSyntaxError,
+     _TOO_DEEP + "6", 1, 6, set()),
+    # Two faults: the chain passes the limit before the stray ")" is read.
+    ("depth-before-stray-parenthesis", _CONJUNCTS + " )", FormulaSyntaxError,
+     _TOO_DEEP + "399", 1, 399, set()),
+]
+
+
+@pytest.mark.parametrize("text, kind, message, line, column, expected",
+                         [row[1:] for row in ERROR_POSITIONS],
+                         ids=[row[0] for row in ERROR_POSITIONS])
+def test_error_positions(text, kind, message, line, column, expected):
+    with pytest.raises(FormulaSyntaxError) as info:
+        parse(text, {"deep": parse(_DEEP)})
+    exc = info.value
+    assert type(exc) is kind
+    assert (str(exc), exc.line, exc.column, exc.expected) == (message, line, column, expected)
 
 
 def test_trailing_input_rejected():
@@ -263,6 +341,28 @@ def test_depth_of_channel_distinguisher():
     assert depth(parse("[bit0]{r} K{e} Kw{r} bit0")) == 4
 
 
+def _height(f):
+    subs = children(f)
+    return 1 + (max(_height(c) for c in subs) if subs else 0)
+
+
+def test_stored_depth_is_the_height_of_the_tree():
+    rng = random.Random(14)
+    for _ in range(500):
+        f = random_formula(rng, 7, ["p", "q"], ["a", "b", "c"])
+        assert depth(f) == _height(f)
+        for g in [dataclasses.replace(f), pickle.loads(pickle.dumps(f)), copy.copy(f),
+                  copy.deepcopy(f)]:
+            assert depth(g) == depth(f)
+        if children(f):
+            g = dataclasses.replace(f, **{syntax._SUBFORMULAS[type(f)][-1]: Not(f)})
+            assert depth(g) == depth(f) + 2 == _height(g)
+    # Loaded after its formulas are gone, a pickle builds every node afresh.
+    data = pickle.dumps([random_formula(rng, 7, ["fresh"], ["d"]) for _ in range(20)])
+    gc.collect()
+    assert all(depth(g) == _height(g) for g in pickle.loads(data))
+
+
 def test_structurally_equal_formulas_are_one_object():
     p, q = Atom("m_r"), Atom("m_g")
     f = AnnGlobal(And(p, Not(q)), EVERYONE, Know("r", p))
@@ -291,7 +391,7 @@ def test_structurally_equal_formulas_are_one_object():
 
 def test_node_constructors_check_their_fields():
     for build in [lambda: Atom(), lambda: Atom("p", "q"), lambda: Not(body=TOP),
-                  lambda: Not(TOP, sub=TOP), lambda: Know("a")]:
+                  lambda: Not(TOP, sub=TOP), lambda: Know("a"), lambda: Not("p")]:
         with pytest.raises(TypeError):
             build()
     with pytest.raises(dataclasses.FrozenInstanceError):
