@@ -22,12 +22,8 @@ from .model import (
     KripkeModel,
     PointedModel,
     Violation,
-    common_closure,
-    exact_profile,
     load,
-    neighborhood,
     save,
-    union_reach,
     validate,
 )
 from .semantics import (

@@ -308,7 +308,9 @@ def distinguishing_formula_search(
     those two satsets, so with announcements enabled the signature also
     spans every one-step refinement of the base models by (negated) atoms;
     formulas only distinguishable after deeper refinement sequences may be
-    pruned.  Whatever is returned has been verified on the two points.
+    pruned.  Whatever is returned has been verified on the two points.  A
+    level that adds no representative ends the search: every deeper level
+    would apply the same operators to the same representatives.
 
     Related points are answered at once: exact-profile bisimilarity
     preserves every GLAL formula, and collective bisimilarity every
@@ -338,11 +340,9 @@ def distinguishing_formula_search(
 
     seen = set()
     reps = []  # one formula per signature, in generation order
-    leaves = [sx.Atom(name) for name in atoms] + [sx.TOP, sx.BOT]
-    for level in range(1, depth + 1):
-        layer = leaves if level == 1 else _applications(
-            list(reps), agents, coalitions, announcements
-        )
+    layer = [sx.Atom(name) for name in atoms] + [sx.TOP, sx.BOT]
+    for _ in range(depth):
+        known = len(reps)
         for f in layer:
             sig = tuple(ctx.mask(m, f, m._full) for m in probes)
             if sig[0] >> pi & 1 and not sig[1] >> qi & 1:
@@ -350,6 +350,9 @@ def distinguishing_formula_search(
             if sig not in seen:
                 seen.add(sig)
                 reps.append(f)
+        if len(reps) == known:
+            break  # saturated
+        layer = _applications(list(reps), agents, coalitions, announcements)
     return None
 
 
@@ -382,10 +385,10 @@ def _refinement_probes(ctx: EvalContext, models, atoms, coalitions) -> list:
         extensions += [m._full & ~psi for psi in extensions]  # the negated atoms
         for psi in extensions:
             for co in coalitions:
-                names = co.resolve(m.agents)
+                members = ctx._members(m, co)
                 for kind in ("local", "global"):
-                    for i in range(len(m.worlds)):
-                        refined = ctx.refined(m, i, psi, names, kind)
+                    for splits, _ in ctx._groups(m, kind, members, m._full):
+                        refined = ctx.refined(m, splits, psi)
                         if id(refined) not in seen:
                             seen.add(id(refined))
                             out.append(refined)

@@ -44,7 +44,7 @@ def random_model(
 
 
 def _is_connected(model: KripkeModel) -> bool:
-    return len(model.components(model.agents)) == 1
+    return len(model.components(range(len(model.agents)))) == 1
 
 
 def random_pointed(rng: random.Random, model: KripkeModel) -> PointedModel:

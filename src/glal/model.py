@@ -11,7 +11,9 @@ construction.  World names and pair lists exist only at the boundary:
 ``from_partitions``, ``load`` and ``to_obj`` convert names to masks and
 back, and ``from_pairs`` and the ``"pairs"`` file form check pairs with
 ``validate`` (reflexivity, symmetry, transitivity) before they become
-classes.
+classes.  Agents are likewise addressed by position in ``agents``:
+``components`` takes positions, and ``agent_position`` and
+``coalition_names`` are where names are checked against the model.
 
 A model is a plain value: its fields and a few lazy index views over
 them.  Results derived while evaluating formulas (satisfaction sets,
@@ -206,9 +208,6 @@ class KripkeModel:
                 return mask
         return 0
 
-    def atom_worlds(self, atom: str) -> frozenset:
-        return self.world_names(self.atom_mask(atom))
-
     def atom_names(self) -> tuple:
         return tuple(name for name, _ in self.valuation)
 
@@ -227,10 +226,11 @@ class KripkeModel:
     def world_names(self, mask: int) -> frozenset:
         return _names_of(mask, self.worlds)
 
-    def components(self, names: tuple) -> tuple:
+    def components(self, positions) -> tuple:
         """The classes of the reflexive-transitive closure of the union of the
-        named agents' relations, as world masks by lowest world."""
-        cell_lists = [self.cells[self._agent_index[a]] for a in names]
+        relations of the agents at ``positions``, as world masks by lowest
+        world."""
+        cell_lists = [self.cells[k] for k in positions]
         comps = []
         unassigned = self._full
         while unassigned:
@@ -286,38 +286,6 @@ def coalition_names(model: KripkeModel, coalition) -> tuple:
         if a not in model._agent_index:
             raise UnknownAgent(f"unknown agent {a!r}")
     return names
-
-
-def neighborhood(model: KripkeModel, agent: str, world: str) -> frozenset:
-    """The equivalence class of ``world`` under ``agent``'s relation."""
-    k = model.agent_position(agent)
-    i = model.world_index(world)
-    return model.world_names(model._nbr[k][i])
-
-
-def union_reach(model: KripkeModel, coalition, world: str) -> frozenset:
-    """One-step union of the member classes; empty coalition yields the empty set."""
-    names = coalition_names(model, coalition)
-    i = model.world_index(world)
-    m = 0
-    for a in names:
-        m |= model._nbr[model.agent_position(a)][i]
-    return model.world_names(m)
-
-
-def common_closure(model: KripkeModel, coalition, world: str) -> frozenset:
-    """Reflexive-transitive closure of the union relation, seeded at ``world``."""
-    names = coalition_names(model, coalition)
-    i = model.world_index(world)
-    return model.world_names(next(c for c in model.components(names) if c >> i & 1))
-
-
-def exact_profile(model: KripkeModel, w: str, v: str) -> frozenset:
-    """The exact set of agents whose relation links ``w`` and ``v``."""
-    i = model.world_index(w)
-    j = model.world_index(v)
-    nbr = model._nbr
-    return frozenset(a for a, k in model._agent_index.items() if nbr[k][i] >> j & 1)
 
 
 def validate(worlds, agents, relations) -> list:

@@ -11,13 +11,14 @@ query (``check``, ``check_traced``) evaluates along the point's tree of
 refined models, which is local model checking; ``sat_set`` and the other
 whole-model callers pass every world.
 
-Announcement clauses refine the model per group of announced worlds.  A
-refinement depends only on the scope it splits for each coalition member
-(the member's own class for local announcements, the closure class for
-global and semi-private ones) and on the announced extension inside those
-scopes, so refinements are memoized under those masks, announced worlds
-with one scope share one refinement, and refined models are structurally
-interned.  Satisfaction sets (an int mask once known on every world, a
+Announcement clauses refine the model per group of announced worlds, and
+``EvalContext._groups`` alone decides what each group splits: one (agent
+position, scope mask) pair per coalition member, the scope being the
+member's class (local), the members' closure class (global) or the
+all-agents closure class (semi-private).  Refinements are memoized under
+those splits and the announced mask inside them, and refined models are
+structurally interned.  Coalitions resolve to agent positions once per
+agent tuple.  Satisfaction sets (an int mask once known on every world, a
 ``(known, set)`` pair before), refinements and component decompositions
 are memoized per model in the ``EvalContext`` that computed them, and
 freed with it.
@@ -99,9 +100,9 @@ class EvalContext:
         #   psi                       -> restriction to the worlds of mask psi
         #   (psi, ((k, scope), ...))  -> split of agent k's cells in scope by
         #                                psi, cut to the union of the scopes
-        #   (agent name, ...)         -> component decomposition
+        #   (agent position, ...)     -> component decomposition
         self._memos: dict = {}
-        # (agent tuple, coalition) -> the coalition's sorted member names
+        # (agent tuple, coalition) -> the coalition's sorted agent positions
         self._coalitions: dict = {}
 
     def intern(self, model: KripkeModel) -> KripkeModel:
@@ -204,8 +205,7 @@ class EvalContext:
 
     def _everybody(self, model, f, need):
         full = model._full
-        partitions = [model.cells[model.agent_position(a)]
-                      for a in self._members(model, f.coalition)]
+        partitions = [model.cells[k] for k in self._members(model, f.coalition)]
         region = need
         if need != full:
             region = 0
@@ -232,10 +232,10 @@ class EvalContext:
         return out
 
     def _distributed(self, model, f, need):
-        names = self._members(model, f.coalition)
-        if not names:
+        members = self._members(model, f.coalition)
+        if not members:
             return self.mask(model, f.sub, need)
-        rows = [model._nbr[model.agent_position(a)] for a in names]
+        rows = [model._nbr[k] for k in members]
         full = model._full
         meets = []  # (world, its class in the meet of the members' partitions)
         for i in range(len(model.worlds)) if need == full else iter_bits(need):
@@ -261,56 +261,61 @@ class EvalContext:
         group of worlds that split the same classes, and the body is asked
         for once per refined model, on the worlds refined to it."""
         kind, box = _ANNOUNCE_KINDS[type(f)]
-        names = self._members(model, f.coalition)
         full = model._full
         psi = self.mask(model, f.announced, need)
         out = full & ~psi if box else 0
         hold = psi & need
         if not hold:
             return out
-        groups = self._groups(model, kind, names, hold)
+        groups = self._groups(model, kind, self._members(model, f.coalition), hold)
         if need != full:
             # Each refinement reads the announced set on the classes it splits.
             scope = 0
-            for i, _ in groups:
-                scope |= self._scope(model, kind, names, i)[1]
+            for splits, _ in groups:
+                scope |= _span(splits)
             psi = self.mask(model, f.announced, need | scope)
         if len(groups) == 1:
-            i, worlds = groups[0]
-            refined = self.refined(model, i, psi, names, kind)
-            return out | self.mask(refined, f.sub, worlds) & worlds
+            splits, worlds = groups[0]
+            return out | self.mask(self.refined(model, splits, psi), f.sub, worlds) & worlds
         asked = {}  # id(refined model) -> (refined model, worlds refined to it)
-        for i, worlds in groups:
-            refined = self.refined(model, i, psi, names, kind)
+        for splits, worlds in groups:
+            refined = self.refined(model, splits, psi)
             seen = asked.get(id(refined))
             asked[id(refined)] = (refined, worlds if seen is None else seen[1] | worlds)
         for refined, worlds in asked.values():
             out |= self.mask(refined, f.sub, worlds) & worlds
         return out
 
-    def _groups(self, model, kind, names, hold) -> list:
-        """The worlds of ``hold`` grouped by the classes their refinements
-        split, as (lowest world, group) pairs: a group is what ``hold`` keeps
-        of a closure class (global) or of a cell of the members' meet
-        partition (local), and all of ``hold`` when there are no members."""
-        if not names or not hold & (hold - 1):  # no members, or one world
-            return [((hold & -hold).bit_length() - 1, hold)]
+    def _groups(self, model, kind, members, hold) -> list:
+        """The worlds of ``hold`` as (splits, worlds) pairs by lowest world:
+        a ``kind`` refinement at any of the worlds splits, for each agent
+        position of ``members``, the scope mask ``splits`` pairs it with."""
+        if not members:
+            return [((), hold)]
         groups = []
-        if kind == "global":
-            for comp in self._components(model, names):
-                worlds = comp & hold
-                if worlds:
-                    groups.append(((worlds & -worlds).bit_length() - 1, worlds))
+        if kind == "local":
+            nbr = model._nbr
+            while hold:
+                i = (hold & -hold).bit_length() - 1
+                splits = tuple([(k, nbr[k][i]) for k in members])
+                worlds = hold
+                for _, cls in splits:
+                    worlds &= cls
+                groups.append((splits, worlds))
+                hold &= ~worlds
             return groups
-        nbr, index = model._nbr, model._agent_index
-        rows = [nbr[index[a]] for a in names]
-        while hold:
-            i = (hold & -hold).bit_length() - 1
-            worlds = hold
-            for row in rows:
-                worlds &= row[i]
-            groups.append((i, worlds))
-            hold &= ~worlds
+        if kind == "global":
+            comps = self._components(model, members)
+        elif kind == "semiprivate":
+            comps = self._components(model, tuple(range(len(model.agents))))
+        else:
+            raise ValueError(f"unknown refinement kind {kind!r}")
+        for comp in comps:
+            if comp & hold:
+                groups.append((tuple([(k, comp) for k in members]), comp & hold))
+                hold &= ~comp
+                if not hold:
+                    break
         return groups
 
     def _pal(self, model, f, need):
@@ -336,46 +341,20 @@ class EvalContext:
 
     # -- refinements ---------------------------------------------------------
 
-    def refined(self, model, world_idx, psi, names, kind) -> KripkeModel:
-        """The ``kind`` refinement by the announced mask ``psi`` at a world of
-        ``model``, which must be interned here.  ``psi`` need only be correct
-        on the classes the refinement splits."""
-        splits, scope = self._scope(model, kind, names, world_idx)
-        psi &= scope
+    def refined(self, model, splits, psi) -> KripkeModel:
+        """The split of ``model`` (interned here) by the announced mask
+        ``psi``, which need only be correct on the scopes of ``splits``."""
+        psi &= _span(splits)
         return self._memoized(model, (psi, splits), lambda: _split_model(model, splits, psi))
 
-    def _scope(self, model, kind, names, world_idx) -> tuple:
-        """What a ``kind`` refinement at the world splits: one (agent position,
-        scope mask) pair per member, the scope being the member's own class
-        (local) or one closure class (global, semi-private); and the union of
-        those scopes."""
-        index = model._agent_index
-        if kind == "local":
-            nbr = model._nbr
-            splits = []
-            union = 0
-            for a in names:
-                k = index[a]
-                cls = nbr[k][world_idx]
-                splits.append((k, cls))
-                union |= cls
-            return tuple(splits), union
-        if kind == "global":
-            comp = self._component(model, names, world_idx)
-        elif kind == "semiprivate":
-            comp = self._component(model, model.agents, world_idx)
-        else:
-            raise ValueError(f"unknown refinement kind {kind!r}")
-        return tuple([(index[a], comp) for a in names]), comp if names else 0
-
     def _members(self, model, coalition) -> tuple:
-        """``coalition_names(model, coalition)``, resolved once per agent
-        tuple; a coalition with an unknown member raises on every call."""
+        """``_positions(model, coalition)``, resolved once per agent tuple;
+        a coalition with an unknown member raises on every call."""
         key = (model.agents, coalition)
-        names = self._coalitions.get(key)
-        if names is None:
-            names = self._coalitions[key] = coalition_names(model, coalition)
-        return names
+        members = self._coalitions.get(key)
+        if members is None:
+            members = self._coalitions[key] = _positions(model, coalition)
+        return members
 
     def _pal_model(self, model, psi) -> KripkeModel:
         return self._memoized(model, psi, lambda: _restrict_model(model, psi))
@@ -389,18 +368,13 @@ class EvalContext:
             hit = memo[key] = self.intern(build())
         return hit
 
-    def _components(self, model, names) -> tuple:
-        """``model.components(names)``, memoized under ``names``."""
+    def _components(self, model, positions) -> tuple:
+        """``model.components(positions)``, memoized under ``positions``."""
         memo = self._memos[id(model)]
-        comps = memo.get(names)
+        comps = memo.get(positions)
         if comps is None:
-            comps = memo[names] = model.components(names)
+            comps = memo[positions] = model.components(positions)
         return comps
-
-    def _component(self, model, names, world_idx) -> int:
-        for comp in self._components(model, names):
-            if comp >> world_idx & 1:
-                return comp
 
 
 # Node class -> its clause: clause(context, model, f, need) is f's set,
@@ -434,6 +408,20 @@ _ANNOUNCE_KINDS = {
     sx.DiaLocal: ("local", False),
     sx.DiaGlobal: ("global", False),
 }
+
+
+def _positions(model: KripkeModel, coalition) -> tuple:
+    """The sorted agent positions of a Coalition or iterable of names."""
+    index = model._agent_index
+    return tuple([index[a] for a in coalition_names(model, coalition)])
+
+
+def _span(splits) -> int:
+    """The union of the scope masks of ``splits``."""
+    out = 0
+    for _, scope in splits:
+        out |= scope
+    return out
 
 
 def _reach(parts, need: int) -> int:
@@ -554,13 +542,15 @@ def _step(ctx: EvalContext, model: KripkeModel, i: int, f: sx.Formula) -> tuple:
         key = RefinementKey("pal", (), f.announced, model.world_names(psi))
         return ctx._pal_model(model, psi), key
     kind = _ANNOUNCE_KINDS[type(f)][0]
-    names = ctx._members(model, f.coalition)
-    scope = ctx._scope(model, kind, names, i)[1]
+    members = ctx._members(model, f.coalition)
+    [(splits, _)] = ctx._groups(model, kind, members, 1 << i)
+    scope = _span(splits)
     if kind == "global":
         scope |= 1 << i  # a closure holds i, even for no agents
     psi = ctx.mask(model, f.announced, scope)
+    names = tuple([model.agents[k] for k in members])
     key = RefinementKey(kind, names, f.announced, model.world_names(scope))
-    return ctx.refined(model, i, psi, names, kind), key
+    return ctx.refined(model, splits, psi), key
 
 
 # -- refinement constructors -------------------------------------------------
@@ -593,9 +583,9 @@ def refine_semiprivate(
 def _refine(model, world, announced, coalition, kind, context) -> KripkeModel:
     ctx = context or EvalContext()
     model = ctx.intern(model)
-    names = coalition_names(model, coalition)
-    i = model.world_index(world)
-    return ctx.refined(model, i, ctx.mask(model, announced, model._full), names, kind)
+    [(splits, _)] = ctx._groups(model, kind, _positions(model, coalition),
+                                1 << model.world_index(world))
+    return ctx.refined(model, splits, ctx.mask(model, announced, model._full))
 
 
 def refine_pal(

@@ -1,9 +1,35 @@
-"""Test-side views of a model's masks: derived pair and name views and the
-invariants every constructed model must satisfy."""
+"""Test-side views of a model's masks: derived pair and name views, name-based
+oracles for classes, closures and profiles, and the invariants every
+constructed model must satisfy."""
 
 
 def class_names(model, cell) -> list:
     return [w for i, w in enumerate(model.worlds) if cell >> i & 1]
+
+
+def class_of(model, agent, world) -> frozenset:
+    """The names in ``world``'s class under ``agent``'s relation."""
+    for cell in model.cells[model.agents.index(agent)]:
+        names = class_names(model, cell)
+        if world in names:
+            return frozenset(names)
+    raise KeyError(world)
+
+
+def closure_of(model, agents, world) -> frozenset:
+    """The worlds reachable from ``world`` by steps along the relations of
+    ``agents``: the closure class that common knowledge quantifies over."""
+    reach = {world}
+    while True:
+        step = reach | {v for u in reach for a in agents for v in class_of(model, a, u)}
+        if step == reach:
+            return frozenset(reach)
+        reach = step
+
+
+def profile(model, u, v) -> frozenset:
+    """The agents whose relation links worlds ``u`` and ``v``."""
+    return frozenset(a for a in model.agents if v in class_of(model, a, u))
 
 
 def valuation_names(model) -> tuple:

@@ -1,10 +1,13 @@
+import itertools
 import random
+import time
 
 import pytest
 
 import bisim_reference as reference
 from glal.bisim import (
     KINDS,
+    _refinement_probes,
     distinguishing_formula_search,
     max_bisim,
     pointed_bisim,
@@ -12,9 +15,9 @@ from glal.bisim import (
 )
 from glal.fuzz import duplicate_worlds, random_formula, random_model
 from glal.model import KripkeModel, PointedModel
-from glal.semantics import EvalContext, check
+from glal.semantics import EvalContext, check, refine_global, refine_local
 from glal.scenarios import bit_channel
-from glal.syntax import depth, print_formula
+from glal.syntax import Atom, Coalition, Not, depth, print_formula
 
 
 def channel_points():
@@ -191,6 +194,48 @@ def test_distinguishing_search_exhausts_its_depth_on_unrelated_points():
         f = distinguishing_formula_search(p, q, 3, operators=operators)
         assert f is not None and depth(f) == 3
         assert check(p, f) and not check(q, f)
+
+
+def test_distinguishing_search_stops_once_saturated():
+    # a is discrete and b total on both sides; p holds at u0 on the left and
+    # at u0, u1 on the right.  The representatives stop growing at level 5,
+    # so a search of any depth ends there.
+    left = KripkeModel.from_partitions(["u0", "u1"], ["a", "b"], {"b": [["u0", "u1"]]},
+                                       {"p": ["u0"]})
+    right = KripkeModel.from_partitions(["u0", "u1", "u2"], ["a", "b"],
+                                        {"b": [["u0", "u1", "u2"]]}, {"p": ["u0", "u1"]})
+    p, q = PointedModel(left, "u0"), PointedModel(right, "u0")
+    assert not pointed_bisim(p, q, "plusminus").related
+    start = time.perf_counter()
+    assert distinguishing_formula_search(p, q, 10**6) is None
+    assert time.perf_counter() - start < 1
+
+
+def test_refinement_probes_match_the_per_world_refinements():
+    # The probes are every distinct one-step local and global refinement by
+    # an atom or a negated atom, in order of first appearance when each is
+    # taken at every world in turn.
+    rng = random.Random(16)
+    agents, atoms = ["a", "b", "c"], ["p", "q"]
+    coalitions = [Coalition.of(*combo) for k in (1, 2, 3)
+                  for combo in itertools.combinations(agents, k)]
+    found = 0
+    for _ in range(30):
+        models = tuple(random_model(rng, rng.randint(1, 5), agents, atoms) for _ in range(2))
+        expected = []
+        for m in models:
+            for psi in [Atom(a) for a in atoms] + [Not(Atom(a)) for a in atoms]:
+                for co in coalitions:
+                    for refine in (refine_local, refine_global):
+                        for w in m.worlds:
+                            refined = refine(m, w, psi, co)
+                            if refined not in models and refined not in expected:
+                                expected.append(refined)
+        ctx = EvalContext()
+        probes = _refinement_probes(ctx, tuple(map(ctx.intern, models)), atoms, coalitions)
+        assert probes == expected
+        found += len(probes)
+    assert found > 100
 
 
 def test_distinguishing_search_rejects_unknown_operator_set():

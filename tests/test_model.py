@@ -9,27 +9,32 @@ from pathlib import Path
 
 import pytest
 
-from glal.errors import FormatError, InvalidModel, UnknownAgent, UnknownWorld
+from glal.errors import FormatError, InvalidModel, UnknownWorld
 from glal.fuzz import random_model
-from glal.model import (
-    KripkeModel,
-    PointedModel,
-    common_closure,
-    exact_profile,
-    load,
-    neighborhood,
-    save,
-    union_reach,
-    validate,
-)
+from glal.model import KripkeModel, PointedModel, load, save, validate
 from glal.scenarios import bit_channel, muddy
-from model_checks import assert_canonical, pairs_of
+from model_checks import (
+    assert_canonical,
+    class_names,
+    class_of,
+    closure_of,
+    pairs_of,
+    profile,
+)
+
+
+def closure_class(model, agents, world) -> frozenset:
+    """The class of ``world`` among ``model.components`` of the agents."""
+    comps = model.components([model.agent_position(a) for a in agents])
+    return frozenset(next(
+        class_names(model, c) for c in comps if world in class_names(model, c)
+    ))
 
 
 def test_neighborhood_muddy():
     m = muddy(3)
-    assert neighborhood(m, "r", "100") == {"100", "000"}
-    assert neighborhood(m, "g", "110") == {"110", "100"}
+    assert class_of(m, "r", "100") == {"100", "000"}
+    assert class_of(m, "g", "110") == {"110", "100"}
 
 
 def test_neighborhood_contains_world():
@@ -39,7 +44,7 @@ def test_neighborhood_contains_world():
         for a in m.agents:
             classes = set()
             for w in m.worlds:
-                cls = neighborhood(m, a, w)
+                cls = class_of(m, a, w)
                 assert w in cls
                 classes.add(cls)
             # classes partition the worlds
@@ -49,65 +54,47 @@ def test_neighborhood_contains_world():
 
 def test_neighborhood_channel_eavesdropper():
     n = bit_channel("N")
-    assert neighborhood(n, "e", "w1") == {"w1", "w2"}
-
-
-def test_neighborhood_errors():
-    m = muddy(2)
-    with pytest.raises(UnknownAgent):
-        neighborhood(m, "z", "00")
-    with pytest.raises(UnknownWorld):
-        neighborhood(m, "r", "0000")
+    assert class_of(n, "e", "w1") == {"w1", "w2"}
 
 
 def test_common_closure_connected_cube():
     m = muddy(3)
+    assert m.components(range(len(m.agents))) == (m._full,)
     for w in m.worlds:
-        assert common_closure(m, ["r", "g", "b"], w) == set(m.worlds)
+        assert closure_class(m, ["r", "g", "b"], w) == set(m.worlds)
 
 
 def test_common_closure_empty_coalition():
     m = muddy(3)
-    assert common_closure(m, [], "101") == {"101"}
+    assert m.components(()) == tuple(1 << i for i in range(len(m.worlds)))
+    assert closure_class(m, [], "101") == {"101"}
 
 
 def test_common_closure_channel():
     np = bit_channel("Nprime")
-    assert common_closure(np, ["r"], "w1") == {"w1", "w2"}
-
-
-def test_union_reach_example():
-    m = muddy(3)
-    assert union_reach(m, ["r", "b"], "100") == {"100", "000", "101"}
-    assert union_reach(m, [], "100") == set()
-    assert union_reach(m, ["r"], "100") == neighborhood(m, "r", "100")
+    assert closure_class(np, ["r"], "w1") == {"w1", "w2"}
 
 
 def test_common_closure_is_union_reach_fixpoint():
     rng = random.Random(5)
     for _ in range(20):
-        m = random_model(rng, 5, ["a", "b"], ["p"])
-        coalition = ["a", "b"]
-        for w in m.worlds:
-            reach = {w}
-            while True:
-                step = set(reach)
-                for v in reach:
-                    step |= union_reach(m, coalition, v)
-                if step == reach:
-                    break
-                reach = step
-            assert common_closure(m, coalition, w) == reach
+        m = random_model(rng, 5, ["a", "b", "c"], ["p"])
+        for coalition in ([], ["a"], ["a", "b"], ["b", "c"], ["a", "b", "c"]):
+            comps = m.components([m.agent_position(a) for a in coalition])
+            lows = [c & -c for c in comps]
+            assert lows == sorted(lows)
+            for w in m.worlds:
+                assert closure_class(m, coalition, w) == closure_of(m, coalition, w)
 
 
 def test_exact_profile():
     m = muddy(2)
     for w in m.worlds:
-        assert exact_profile(m, w, w) == set(m.agents)
+        assert profile(m, w, w) == set(m.agents)
     np = bit_channel("Nprime")
-    assert exact_profile(np, "v1", "w1") == {"s", "e"}
+    assert profile(np, "v1", "w1") == {"s", "e"}
     n = bit_channel("N")
-    assert exact_profile(n, "w1", "w2") == {"r", "e"}
+    assert profile(n, "w1", "w2") == {"r", "e"}
 
 
 def test_validate_clean_models():
@@ -241,7 +228,7 @@ def test_load_pairs_closes_symmetry_not_transitivity():
         "valuation": {},
     })
     m = load(good)
-    assert neighborhood(m, "a", "w2") == {"w1", "w2"}
+    assert class_of(m, "a", "w2") == {"w1", "w2"}
 
     intransitive = json.dumps({
         "worlds": ["w1", "w2", "w3"],
@@ -291,7 +278,7 @@ def test_load_schema_errors():
 
 def test_missing_relation_defaults_to_identity():
     m = load(json.dumps({"worlds": ["w1", "w2"], "agents": ["a"], "valuation": {}}))
-    assert neighborhood(m, "a", "w1") == {"w1"}
+    assert class_of(m, "a", "w1") == {"w1"}
 
 
 def test_pointed_model_checks_point():

@@ -1,7 +1,7 @@
 import pytest
 
 from glal.errors import BoundExceeded
-from glal.model import PointedModel, exact_profile, neighborhood
+from glal.model import PointedModel
 from glal.semantics import check
 from glal.scenarios import (
     at_least_one_muddy,
@@ -11,7 +11,7 @@ from glal.scenarios import (
     nobody_knows_own_state,
 )
 from glal.syntax import parse, print_formula
-from model_checks import assert_canonical, pairs_of
+from model_checks import assert_canonical, class_of, pairs_of, profile
 
 
 def test_muddy_structure():
@@ -20,7 +20,7 @@ def test_muddy_structure():
     assert set(m.agents) == {"r", "g", "b"}
     assert_canonical(m)
     for agent in m.agents:
-        cells = {neighborhood(m, agent, w) for w in m.worlds}
+        cells = {class_of(m, agent, w) for w in m.worlds}
         assert len(cells) == 4
         assert all(len(c) == 2 for c in cells)
 
@@ -37,12 +37,12 @@ def test_muddy_edge_counts():
 
 def test_muddy_single_child():
     m = muddy(1)
-    assert neighborhood(m, "r", "0") == {"0", "1"}
+    assert class_of(m, "r", "0") == {"0", "1"}
 
 
 def test_muddy_specific_edge():
     m = muddy(3)
-    assert "010" in neighborhood(m, "r", "110")
+    assert "010" in class_of(m, "r", "110")
 
 
 def test_muddy_bounds():
@@ -54,8 +54,8 @@ def test_muddy_bounds():
 
 def test_muddy_atoms():
     m = muddy(2)
-    assert m.atom_worlds("m_r") == {"10", "11"}
-    assert m.atom_worlds("m_g") == {"01", "11"}
+    assert m.world_names(m.atom_mask("m_r")) == {"10", "11"}
+    assert m.world_names(m.atom_mask("m_g")) == {"01", "11"}
 
 
 def test_alpha_and_ignorance_builders():
@@ -67,14 +67,14 @@ def test_alpha_and_ignorance_builders():
 def test_channel_models_match_figures():
     n = bit_channel("N")
     assert n.worlds == ("w1", "w2")
-    assert neighborhood(n, "s", "w1") == {"w1"}
-    assert neighborhood(n, "r", "w1") == {"w1", "w2"}
+    assert class_of(n, "s", "w1") == {"w1"}
+    assert class_of(n, "r", "w1") == {"w1", "w2"}
     np = bit_channel("Nprime")
     assert np.worlds == ("v1", "v2", "w1", "w2")
-    assert exact_profile(np, "v1", "w1") == {"s", "e"}
-    assert exact_profile(np, "v1", "v2") == {"r", "e"}
-    assert exact_profile(np, "v1", "w2") == {"e"}  # closure edge of the eavesdropper
-    assert np.atom_worlds("bit0") == {"v1", "w1"}
+    assert profile(np, "v1", "w1") == {"s", "e"}
+    assert profile(np, "v1", "v2") == {"r", "e"}
+    assert profile(np, "v1", "w2") == {"e"}  # closure edge of the eavesdropper
+    assert np.world_names(np.atom_mask("bit0")) == {"v1", "w1"}
     with pytest.raises(ValueError):
         bit_channel("M")
 

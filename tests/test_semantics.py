@@ -9,7 +9,7 @@ import pytest
 
 from glal.errors import EmptyResult, NotPalFragment, UnknownAgent
 from glal.fuzz import FRAGMENTS, random_coalition, random_formula, random_model, random_pointed
-from glal.model import KripkeModel, PointedModel, neighborhood
+from glal.model import KripkeModel, PointedModel
 from glal.semantics import (
     EvalContext,
     check,
@@ -37,7 +37,7 @@ from glal.syntax import (
     expand_derived,
     parse,
 )
-from model_checks import assert_canonical, assert_refines
+from model_checks import assert_canonical, assert_refines, class_of
 from uncached_context import UncachedContext
 
 ALPHA = "(m_r | m_g | m_b)"
@@ -69,14 +69,14 @@ def test_refine_local_splits_only_red():
     refined = refine_local(m, "100", alpha3(), ["r", "g", "b"])
     assert refined.worlds == m.worlds
     assert refined.valuation == m.valuation
-    assert neighborhood(refined, "r", "100") == {"100"}
-    assert neighborhood(refined, "r", "000") == {"000"}
+    assert class_of(refined, "r", "100") == {"100"}
+    assert class_of(refined, "r", "000") == {"000"}
     # every other class of every agent is untouched
     for agent in m.agents:
         for w in m.worlds:
             if agent == "r" and w in ("100", "000"):
                 continue
-            assert neighborhood(refined, agent, w) == neighborhood(m, agent, w)
+            assert class_of(refined, agent, w) == class_of(m, agent, w)
 
 
 def test_refine_with_tautology_is_identity():
@@ -99,13 +99,13 @@ def test_refine_empty_coalition_is_identity():
 def test_refine_global_pair_updates_both():
     m = muddy(3)
     refined = refine_global(m, "100", alpha3(), ["r", "b"])
-    assert neighborhood(refined, "r", "100") == {"100"}
-    assert neighborhood(refined, "b", "000") == {"000"}
-    assert neighborhood(refined, "b", "001") == {"001"}
+    assert class_of(refined, "r", "100") == {"100"}
+    assert class_of(refined, "b", "000") == {"000"}
+    assert class_of(refined, "b", "001") == {"001"}
     # green untouched, and classes outside the r,b closure untouched
     for w in m.worlds:
-        assert neighborhood(refined, "g", w) == neighborhood(m, "g", w)
-    assert neighborhood(refined, "r", "110") == neighborhood(m, "r", "110")
+        assert class_of(refined, "g", w) == class_of(m, "g", w)
+    assert class_of(refined, "r", "110") == class_of(m, "r", "110")
 
 
 def test_singleton_local_equals_global():
@@ -128,7 +128,7 @@ def test_refine_pal_restriction():
     assert refine_pal(m, TOP) == m
     single = refine_pal(m, parse("m_r & !m_g & !m_b"))
     assert single.worlds == ("100",)
-    assert neighborhood(single, "r", "100") == {"100"}
+    assert class_of(single, "r", "100") == {"100"}
 
 
 def test_refine_pal_empty_result():
@@ -161,8 +161,8 @@ def test_semiprivate_wider_scope_than_local():
     loc = refine_local(np, "w1", Atom("bit0"), ["r"])
     # local splits only the receiver's class of w1; the semi-private update
     # reaches the other copy through the all-agent closure
-    assert neighborhood(loc, "r", "v1") == {"v1", "v2"}
-    assert neighborhood(semi, "r", "v1") == {"v1"}
+    assert class_of(loc, "r", "v1") == {"v1", "v2"}
+    assert class_of(semi, "r", "v1") == {"v1"}
 
 
 def test_refinements_only_remove_pairs_and_stay_valid():

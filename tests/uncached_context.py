@@ -20,8 +20,8 @@ class UncachedContext(EvalContext):
     def _memoized(self, model, key, build):
         return build()
 
-    def _components(self, model, names):
-        return model.components(names)
+    def _components(self, model, positions):
+        return model.components(positions)
 
     def _members(self, model, coalition):
-        return coalition_names(model, coalition)
+        return tuple(model.agent_position(a) for a in coalition_names(model, coalition))
