@@ -57,4 +57,4 @@ class EmptyResult(GlalError):
 
 
 class BoundExceeded(GlalError):
-    """Raised when an enumeration would exceed its configured budget."""
+    """Raised when a query exceeds one of the fixed size limits."""

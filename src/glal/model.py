@@ -115,9 +115,11 @@ class KripkeModel:
         return model
 
     def _set(self, worlds, agents, cells, valuation):
-        """Store the canonical fields and their hash, computed once here."""
+        """Store the canonical fields, their hash and the all-worlds mask, each
+        computed once here: every evaluation reads ``_full`` first."""
         self.__dict__.update(worlds=worlds, agents=agents, cells=cells, valuation=valuation,
-                             _hash=hash((worlds, agents, cells, valuation)))
+                             _hash=hash((worlds, agents, cells, valuation)),
+                             _full=(1 << len(worlds)) - 1)
 
     def __hash__(self) -> int:
         return self._hash
@@ -185,10 +187,6 @@ class KripkeModel:
     @cached_property
     def _agent_index(self) -> dict:
         return {a: k for k, a in enumerate(self.agents)}
-
-    @cached_property
-    def _full(self) -> int:
-        return (1 << len(self.worlds)) - 1
 
     @cached_property
     def _nbr(self) -> list:

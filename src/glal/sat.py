@@ -1,9 +1,11 @@
 """Desk-scale satisfiability and validity by bounded model enumeration.
 
-Models are enumerated by world count, then frames (per-agent partition
-indices into the restricted-growth-string order, lexicographically),
-then valuation tuples (one world mask per atom, lexicographically); the
-first satisfying pointed model in that order is the witness.
+Models are enumerated by world count, then frames (per-agent indices
+into ``_partitions``, the set partitions as class masks in
+restricted-growth-string order, lexicographically), then valuation tuples
+(one world mask per atom, lexicographically); the first satisfying
+pointed model in that order is the witness.  Each candidate is evaluated
+in an ``EvalContext`` of its own, dropped with it.
 
 Isomorphic candidates are pruned by orbit-minimum tests (isomorph
 rejection in the style of Read's orderly generation): a frame that some
@@ -15,23 +17,24 @@ isomorphism, so the first satisfying candidate is the least of its class:
 pruning changes neither the witness nor ``models_examined``, which counts
 every candidate up to the witness, skipped ones included.  Status is
 reported as unsat-up-to-bound, never as plain unsat.
+
+``SatQuery`` checks a query whole when it is made: world count within
+``MAX_WORLDS``, estimated candidates within ``BUDGET``, and its names.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, permutations, product
-from math import factorial
 
 from . import syntax as sx
-from .errors import BoundExceeded, FormatError
+from .errors import BoundExceeded, FormatError, UnknownAgent
 from .model import KripkeModel, PointedModel, lowest_bit
 from .semantics import EvalContext
 
 MAX_WORLDS = 6
-DEFAULT_BUDGET = 10_000_000
+BUDGET = 10_000_000  # estimated candidate models
 
 
 def bell_number(n: int) -> int:
@@ -45,54 +48,39 @@ def bell_number(n: int) -> int:
     return table[0] if n else 1
 
 
-def restricted_growth_strings(n: int):
-    """All partition codes of length n: a[0]=0, a[i] <= max(a[:i]) + 1."""
-    if n == 0:
-        yield ()
-        return
-    code = [0] * n
-    while True:
-        yield tuple(code)
-        i = n - 1
-        while i > 0:
-            if code[i] <= max(code[:i]):
-                code[i] += 1
-                for j in range(i + 1, n):
-                    code[j] = 0
-                break
-            code[i] = 0
-            i -= 1
-        else:
-            return
-
-
-def partitions_as_cells(n: int):
-    for code in restricted_growth_strings(n):
-        cells = {}
-        for i, c in enumerate(code):
-            cells.setdefault(c, []).append(i)
-        yield tuple(tuple(cells[c]) for c in sorted(cells))
-
-
 @dataclass(frozen=True)
 class SatQuery:
+    """A bounded query, checked whole on construction."""
+
     formula: sx.Formula
     max_worlds: int = 4
     agents: tuple | None = None
     atoms: tuple | None = None
-    allow_large: bool = False
-    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.max_worlds < 1:
             raise ValueError("max_worlds must be at least 1")
-        if self.max_worlds > MAX_WORLDS and not self.allow_large:
+        if self.max_worlds > MAX_WORLDS:
             raise BoundExceeded(
                 f"max_worlds {self.max_worlds} exceeds the cap of {MAX_WORLDS}"
             )
-        if self.max_worlds > MAX_WORLDS:
-            warnings.warn("enumeration beyond 6 worlds grows as a Bell-number power",
-                          stacklevel=2)
+        agents, atoms = self.vocabulary()
+        estimate = estimated_candidates(self.max_worlds, len(agents), len(atoms))
+        if estimate > BUDGET:
+            raise BoundExceeded(f"estimated {estimate} candidate models exceeds budget {BUDGET}")
+        for what, names in (("agent", agents), ("atom", atoms)):
+            # A name outside the identifier syntax is one no formula can mention.
+            for name in names:
+                if not sx.is_name(name):
+                    raise FormatError(f"{what} name {name!r} is not an identifier")
+            if len(set(names)) != len(names):
+                raise FormatError(f"duplicate {what} names")
+        # Checked up front: an agent the pool leaves out may sit where the
+        # evaluation of a candidate never looks, say under a vacuous announcement.
+        if self.agents is not None:
+            missing = sx.agents(self.formula) - set(agents)
+            if missing:
+                raise UnknownAgent(f"unknown agent {min(missing)!r}")
 
     def vocabulary(self) -> tuple:
         agents = self.agents if self.agents is not None else tuple(
@@ -136,37 +124,14 @@ def estimated_candidates(max_worlds: int, n_agents: int, n_atoms: int) -> int:
 def sat_bounded(query: SatQuery) -> SatResult:
     """First pointed model (in enumeration order) satisfying the formula."""
     agents, atoms = query.vocabulary()
-    estimate = estimated_candidates(query.max_worlds, len(agents), len(atoms))
-    if estimate > query.budget:
-        raise BoundExceeded(
-            f"estimated {estimate} candidate models exceeds budget {query.budget}"
-        )
-    top = query.max_worlds
-    entries = factorial(top) * (bell_number(top) + 2 ** top)
-    if entries > query.budget:
-        raise BoundExceeded(
-            f"relabeling tables of {entries} entries for {top} worlds exceed "
-            f"budget {query.budget}"
-        )
-    for what, names in (("agent", agents), ("atom", atoms)):
-        # A name outside the identifier syntax is one no formula can mention.
-        for name in names:
-            if not sx.is_name(name):
-                raise FormatError(f"{what} name {name!r} is not an identifier")
-        if len(set(names)) != len(names):
-            raise FormatError(f"duplicate {what} names")
     order = sorted(range(len(agents)), key=agents.__getitem__)
     model_agents = tuple(agents[k] for k in order)
     examined = 0
-    ctx = EvalContext()
-    for n in range(1, top + 1):
+    for n in range(1, query.max_worlds + 1):
         # Zero-padded, so the names sort in index order: enumerated masks are
         # model masks, and cells listed by least member are canonical.
         worlds = tuple(f"s{i:0{len(str(n - 1))}}" for i in range(n))
-        partitions = [
-            tuple(sum(1 << i for i in cell) for cell in cells)
-            for cells in partitions_as_cells(n)
-        ]
+        partitions = _partitions(n)
         relabelings = _relabelings(n)
         per_frame = 2 ** (n * len(atoms))
         for frame in product(range(len(partitions)), repeat=len(agents)):
@@ -180,8 +145,10 @@ def sat_bounded(query: SatQuery) -> SatResult:
                 if any(tuple(on_masks[v] for v in vals) < vals
                        for on_masks in automorphisms):
                     continue
-                model = _build(worlds, model_agents, cells, atoms, vals)
-                model = ctx.intern(model)
+                # A context of its own, so the candidate and its refinements
+                # are freed once it is answered.
+                ctx = EvalContext()
+                model = ctx.intern(_build(worlds, model_agents, cells, atoms, vals))
                 mask = ctx.mask(model, query.formula, model._full)
                 if mask:
                     point = model.worlds[lowest_bit(mask).bit_length() - 1]
@@ -210,19 +177,35 @@ def _build(worlds, agents, cells, atoms, masks) -> KripkeModel:
 
 
 @lru_cache(maxsize=None)
+def _partitions(n: int) -> tuple:
+    """Every set partition of range(n), as its class masks by lowest world, in
+    the lexicographic order of restricted growth strings: world n - 1 joins
+    each class of a partition of the others in turn, then opens its own."""
+    if n == 0:
+        return ((),)
+    bit = 1 << n - 1
+    out = []
+    for classes in _partitions(n - 1):
+        for j in range(len(classes)):
+            out.append(classes[:j] + (classes[j] | bit,) + classes[j + 1:])
+        out.append(classes + (bit,))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _relabelings(n: int) -> tuple:
     """For every permutation of range(n) other than the identity, its action
-    on the indices of ``partitions_as_cells(n)`` and on valuation masks."""
-    partitions = list(partitions_as_cells(n))
-    index = {cells: k for k, cells in enumerate(partitions)}
+    on the indices of ``_partitions(n)`` and on valuation masks."""
+    partitions = _partitions(n)
+    index = {classes: k for k, classes in enumerate(partitions)}
     perms = []
     for perm in islice(permutations(range(n)), 1, None):
-        on_partitions = tuple(
-            index[tuple(sorted(tuple(sorted(perm[i] for i in cell)) for cell in cells))]
-            for cells in partitions
-        )
         on_masks = tuple(
             sum(1 << perm[i] for i in range(n) if bits >> i & 1) for bits in range(2 ** n)
+        )
+        on_partitions = tuple(
+            index[tuple(sorted((on_masks[c] for c in classes), key=lowest_bit))]
+            for classes in partitions
         )
         perms.append((on_partitions, on_masks))
     return tuple(perms)

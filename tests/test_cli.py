@@ -146,6 +146,15 @@ def test_sat_duplicate_vocabulary_is_model_error(capsys):
         assert f"duplicate {what} names" in err
 
 
+def test_sat_agent_pool_must_cover_the_formula(capsys):
+    # The second formula names zz only under a vacuous announcement, which the
+    # evaluation of no candidate reaches.
+    for formula in ("p | K{zz} q", "[p & !p]+{zz} K{zz} q"):
+        code, out, err = run(capsys, "sat", formula, "--agents", "a")
+        assert code == 66 and out == ""
+        assert "unknown agent 'zz'" in err
+
+
 def test_sat_vocabulary_names_must_be_identifiers(capsys):
     # "a," splits into "a" and "": no formula can mention an empty agent.
     for argv, what in [(("K{a} p", "--agents", "a,"), "agent name ''"),

@@ -1,4 +1,5 @@
 import random
+import weakref
 from itertools import permutations, product
 
 import pytest
@@ -10,8 +11,6 @@ from glal.sat import (
     SatQuery,
     bell_number,
     estimated_candidates,
-    partitions_as_cells,
-    restricted_growth_strings,
     sat_bounded,
     valid_bounded,
 )
@@ -27,6 +26,38 @@ def sat_unpruned(query):
         return sat_bounded(query)
 
 
+def restricted_growth_strings(n: int):
+    """All partition codes of length n: a[0]=0, a[i] <= max(a[:i]) + 1, in
+    lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    code = [0] * n
+    while True:
+        yield tuple(code)
+        i = n - 1
+        while i > 0:
+            if code[i] <= max(code[:i]):
+                code[i] += 1
+                for j in range(i + 1, n):
+                    code[j] = 0
+                break
+            code[i] = 0
+            i -= 1
+        else:
+            return
+
+
+def partitions_as_cells(n: int):
+    """The partitions of range(n) as world-index cells, in the order of their
+    restricted growth strings: the order oracle for ``sat._partitions``."""
+    for code in restricted_growth_strings(n):
+        cells = {}
+        for i, c in enumerate(code):
+            cells.setdefault(c, []).append(i)
+        yield tuple(tuple(cells[c]) for c in sorted(cells))
+
+
 def test_restricted_growth_counts_match_bell_numbers():
     for n in range(1, 7):
         assert len(list(restricted_growth_strings(n))) == bell_number(n)
@@ -39,6 +70,15 @@ def test_partitions_as_cells_distinct():
     for cells in parts:
         members = sorted(i for cell in cells for i in cell)
         assert members == [0, 1, 2, 3]
+
+
+def test_partitions_are_the_oracle_as_class_masks_in_order():
+    for n in range(1, 7):
+        expected = tuple(
+            tuple(sum(1 << i for i in cell) for cell in cells)
+            for cells in partitions_as_cells(n)
+        )
+        assert sat_module._partitions(n) == expected
 
 
 def test_moore_formula_satisfiable():
@@ -94,20 +134,33 @@ def test_witness_is_deterministic():
 
 
 def test_max_worlds_cap():
+    SatQuery(parse("p"), max_worlds=6)
     with pytest.raises(BoundExceeded):
         SatQuery(parse("p"), max_worlds=7)
-    with pytest.warns(UserWarning):
-        SatQuery(parse("p"), max_worlds=7, allow_large=True)
 
 
 def test_budget_estimate_guard():
-    with pytest.raises(BoundExceeded):
-        sat_bounded(SatQuery(parse("p & K{a} K{b} K{c} q"), max_worlds=6, budget=1000))
+    with pytest.raises(BoundExceeded):  # 203 ** 3 * 2 ** 12 at six worlds alone
+        SatQuery(parse("p & K{a} K{b} K{c} q"), max_worlds=6)
     assert estimated_candidates(3, 2, 2) == 1 * 4 + 4 * 16 + 25 * 64
-    with pytest.warns(UserWarning):
-        eight_worlds = SatQuery(parse("p & !p"), max_worlds=8, allow_large=True)
-    with pytest.raises(BoundExceeded):  # 8! permutations, each tabled on 4140 partitions
-        sat_bounded(eight_worlds)
+
+
+def test_no_candidate_outlives_its_evaluation(monkeypatch):
+    refs = []
+    real_build = sat_module._build
+
+    def recording_build(*args):
+        # Only the candidate the loop evaluated last may still be alive.
+        assert sum(ref() is not None for ref in refs) <= 1
+        model = real_build(*args)
+        refs.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(sat_module, "_build", recording_build)
+    result = sat_bounded(SatQuery(parse("p & !p"), 4, agents=("a",), atoms=("p",)))
+    assert result.status == "unsat-up-to-bound"
+    assert len(refs) > 1
+    assert all(ref() is None for ref in refs)
 
 
 def test_iso_pruning_soundness():
