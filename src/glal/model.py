@@ -188,18 +188,6 @@ class KripkeModel:
     def _agent_index(self) -> dict:
         return {a: k for k, a in enumerate(self.agents)}
 
-    @cached_property
-    def _nbr(self) -> list:
-        """Per agent, per world index, the mask of that world's class."""
-        out = []
-        for part in self.cells:
-            row = [0] * len(self.worlds)
-            for cell in part:
-                for i in iter_bits(cell):
-                    row[i] = cell
-            out.append(row)
-        return out
-
     def atom_mask(self, atom: str) -> int:
         for name, mask in self.valuation:
             if name == atom:

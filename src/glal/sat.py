@@ -4,22 +4,35 @@ Models are enumerated by world count, then frames (per-agent indices
 into ``_partitions``, the set partitions as class masks in
 restricted-growth-string order, lexicographically), then valuation tuples
 (one world mask per atom, lexicographically); the first satisfying
-pointed model in that order is the witness.  Each candidate is evaluated
-in an ``EvalContext`` of its own, dropped with it.
+pointed model in that order is the witness.
+
+Each candidate is evaluated in an ``EvalContext`` of its own, dropped with
+it, so no candidate or refinement outlives its answer.  What depends on
+the cells alone (class rows, component decompositions, the cells a
+refinement cuts) is the same for every valuation of a frame, so each kept
+frame gets one frame memo, which all its candidates' contexts read and
+fill and which is dropped when the frame ends.  It holds only ints and
+tuples.  Coalition positions depend only on the agents and are resolved
+once per query.
 
 Isomorphic candidates are pruned by orbit-minimum tests (isomorph
 rejection in the style of Read's orderly generation): a frame that some
 permutation of the worlds maps to a lexicographically smaller frame is
 skipped whole, and a valuation tuple is skipped when an automorphism of
-its frame maps it to a smaller tuple.  So exactly the least candidate of
-each isomorphism class is evaluated.  Satisfiability is invariant under
-isomorphism, so the first satisfying candidate is the least of its class:
-pruning changes neither the witness nor ``models_examined``, which counts
-every candidate up to the witness, skipped ones included.  Status is
-reported as unsat-up-to-bound, never as plain unsat.
+its frame maps it to a smaller tuple.  The frames of one world count meet
+few distinct automorphism groups, so the orbit-minimal valuation tuples,
+each with its position in the frame's valuation order, are tabled once per
+group and query rather than tested per frame.  So exactly the least
+candidate of each isomorphism class is evaluated.  Satisfiability is
+invariant under isomorphism, so the first satisfying candidate is the
+least of its class: pruning changes neither the witness nor
+``models_examined``, which counts every candidate up to the witness,
+skipped ones included.  Status is reported as unsat-up-to-bound, never as
+plain unsat.
 
 ``SatQuery`` checks a query whole when it is made: world count within
-``MAX_WORLDS``, estimated candidates within ``BUDGET``, and its names.
+``MAX_WORLDS``, estimated candidates within ``BUDGET``, its names, and
+that its agent and atom pools cover the formula.
 """
 
 from __future__ import annotations
@@ -81,6 +94,12 @@ class SatQuery:
             missing = sx.agents(self.formula) - set(agents)
             if missing:
                 raise UnknownAgent(f"unknown agent {min(missing)!r}")
+        # An atom the pool leaves out would be false in every candidate, so
+        # the verdict could be wrong.
+        if self.atoms is not None:
+            missing = sx.atoms(self.formula) - set(atoms)
+            if missing:
+                raise FormatError(f"atom {min(missing)!r} of the formula is not in the atom pool")
 
     def vocabulary(self) -> tuple:
         agents = self.agents if self.agents is not None else tuple(
@@ -126,6 +145,7 @@ def sat_bounded(query: SatQuery) -> SatResult:
     agents, atoms = query.vocabulary()
     order = sorted(range(len(agents)), key=agents.__getitem__)
     model_agents = tuple(agents[k] for k in order)
+    coalitions = {}  # coalition positions, shared by every candidate
     examined = 0
     for n in range(1, query.max_worlds + 1):
         # Zero-padded, so the names sort in index order: enumerated masks are
@@ -134,25 +154,31 @@ def sat_bounded(query: SatQuery) -> SatResult:
         partitions = _partitions(n)
         relabelings = _relabelings(n)
         per_frame = 2 ** (n * len(atoms))
+        orbits = {}  # automorphism tables -> their orbit-minimal valuations
         for frame in product(range(len(partitions)), repeat=len(agents)):
             automorphisms = _frame_automorphisms(frame, relabelings)
             if automorphisms is None:
                 examined += per_frame
                 continue
+            valuations = orbits.get(automorphisms)
+            if valuations is None:
+                valuations = orbits[automorphisms] = _orbit_minimal(
+                    automorphisms, n, len(atoms))
             cells = tuple(partitions[frame[k]] for k in order)
-            for vals in product(range(2 ** n), repeat=len(atoms)):
-                examined += 1
-                if any(tuple(on_masks[v] for v in vals) < vals
-                       for on_masks in automorphisms):
-                    continue
+            frame_memos = {}  # of this frame and of its refinements
+            for position, vals in valuations:
                 # A context of its own, so the candidate and its refinements
-                # are freed once it is answered.
+                # are freed once it is answered; what depends only on the
+                # frame is computed once for all the frame's candidates.
                 ctx = EvalContext()
+                ctx._frames, ctx._coalitions = frame_memos, coalitions
                 model = ctx.intern(_build(worlds, model_agents, cells, atoms, vals))
                 mask = ctx.mask(model, query.formula, model._full)
                 if mask:
                     point = model.worlds[lowest_bit(mask).bit_length() - 1]
-                    return SatResult("sat", PointedModel(model, point), examined)
+                    return SatResult("sat", PointedModel(model, point),
+                                     examined + position + 1)
+            examined += per_frame
     return SatResult("unsat-up-to-bound", None, examined)
 
 
@@ -211,7 +237,7 @@ def _relabelings(n: int) -> tuple:
     return tuple(perms)
 
 
-def _frame_automorphisms(frame: tuple, relabelings) -> list | None:
+def _frame_automorphisms(frame: tuple, relabelings) -> tuple | None:
     """None if some relabeling maps the frame to a lexicographically smaller
     one; otherwise the valuation-mask tables of the relabelings fixing it."""
     automorphisms = []
@@ -221,4 +247,15 @@ def _frame_automorphisms(frame: tuple, relabelings) -> list | None:
             return None
         if image == frame:
             automorphisms.append(on_masks)
-    return automorphisms
+    return tuple(automorphisms)
+
+
+def _orbit_minimal(automorphisms, n: int, n_atoms: int) -> tuple:
+    """The valuation tuples (one mask over n worlds per atom) that no table of
+    ``automorphisms`` maps to a lexicographically smaller tuple, each with
+    its position in ``product`` order."""
+    return tuple(
+        (position, vals)
+        for position, vals in enumerate(product(range(2 ** n), repeat=n_atoms))
+        if not any(tuple([on_masks[v] for v in vals]) < vals for on_masks in automorphisms)
+    )

@@ -18,10 +18,18 @@ member's class (local), the members' closure class (global) or the
 all-agents closure class (semi-private).  Refinements are memoized under
 those splits and the announced mask inside them, and refined models are
 structurally interned.  Coalitions resolve to agent positions once per
-agent tuple.  Satisfaction sets (an int mask once known on every world, a
-``(known, set)`` pair before), refinements and component decompositions
-are memoized per model in the ``EvalContext`` that computed them, and
-freed with it.
+agent tuple.
+
+An ``EvalContext`` memoizes in two parts, and frees both with itself.  Per
+model, it keeps what depends on the valuation: satisfaction sets (an int
+mask once known on every world, a ``(known, set)`` pair before) and the
+interned refined and restricted models.  Per frame (a world count and the
+agents' cells), it keeps what depends on the cells alone: each agent's
+row of classes by world, component decompositions, and the cells a
+refinement cuts.  A frame memo holds only ints and tuples, never a model,
+so models over one frame can share it while each is freed with its own
+context: ``sat_bounded`` hands one frame memo to all the valuations of a
+frame.
 """
 
 from __future__ import annotations
@@ -83,11 +91,13 @@ class EvalTrace:
 
 
 class EvalContext:
-    """Structural interning, and the memo of each interned model.
+    """Structural interning, the memo of each interned model, and the memo
+    of each frame.
 
     Equal models reached by different routes are one object with one memo
-    of satisfaction sets, refinements and components; the interning table
-    keeps them alive, so the ids keying the memos are never reused.
+    of satisfaction sets and refinements; the interning table keeps them
+    alive, so the ids keying the memos are never reused.  Models with equal
+    world counts and cells share one frame memo.
     """
 
     def __init__(self):
@@ -100,8 +110,15 @@ class EvalContext:
         #   psi                       -> restriction to the worlds of mask psi
         #   (psi, ((k, scope), ...))  -> split of agent k's cells in scope by
         #                                psi, cut to the union of the scopes
-        #   (agent position, ...)     -> component decomposition
+        #   None                      -> the memo of the model's frame
         self._memos: dict = {}
+        # (all-worlds mask, cells) -> that frame's memo, whose keys are of
+        # three shapes, each value built from ints and tuples only:
+        #   None                      -> per agent position, per world
+        #                                index, the mask of that world's class
+        #   (agent position, ...)     -> component decomposition
+        #   (psi, ((k, scope), ...))  -> the cells of the split above
+        self._frames: dict = {}
         # (agent tuple, coalition) -> the coalition's sorted agent positions
         self._coalitions: dict = {}
 
@@ -235,7 +252,8 @@ class EvalContext:
         members = self._members(model, f.coalition)
         if not members:
             return self.mask(model, f.sub, need)
-        rows = [model._nbr[k] for k in members]
+        nbr = self._nbr(model)
+        rows = [nbr[k] for k in members]
         full = model._full
         meets = []  # (world, its class in the meet of the members' partitions)
         for i in range(len(model.worlds)) if need == full else iter_bits(need):
@@ -294,7 +312,7 @@ class EvalContext:
             return [((), hold)]
         groups = []
         if kind == "local":
-            nbr = model._nbr
+            nbr = self._nbr(model)
             while hold:
                 i = (hold & -hold).bit_length() - 1
                 splits = tuple([(k, nbr[k][i]) for k in members])
@@ -345,7 +363,20 @@ class EvalContext:
         """The split of ``model`` (interned here) by the announced mask
         ``psi``, which need only be correct on the scopes of ``splits``."""
         psi &= _span(splits)
-        return self._memoized(model, (psi, splits), lambda: _split_model(model, splits, psi))
+        return self._memoized(model, (psi, splits), lambda: self._split(model, splits, psi))
+
+    def _split(self, model, splits, psi) -> KripkeModel:
+        """``_split_model(model, splits, psi)``, its cells memoized in the
+        frame memo under ``(psi, splits)``."""
+        frame = self._frame(model)
+        cells = frame.get((psi, splits))
+        if cells is None:
+            refined = _split_model(model, splits, psi)
+            frame[psi, splits] = refined.cells
+            return refined
+        if cells == model.cells:
+            return model
+        return KripkeModel._canonical(model.worlds, model.agents, cells, model.valuation)
 
     def _members(self, model, coalition) -> tuple:
         """``_positions(model, coalition)``, resolved once per agent tuple;
@@ -368,13 +399,37 @@ class EvalContext:
             hit = memo[key] = self.intern(build())
         return hit
 
-    def _components(self, model, positions) -> tuple:
-        """``model.components(positions)``, memoized under ``positions``."""
+    def _frame(self, model) -> dict:
+        """The memo of the frame of ``model``, which must be interned here."""
         memo = self._memos[id(model)]
-        comps = memo.get(positions)
+        frame = memo.get(None)
+        if frame is None:
+            frame = memo[None] = self._frames.setdefault((model._full, model.cells), {})
+        return frame
+
+    def _components(self, model, positions) -> tuple:
+        """``model.components(positions)``, memoized in the frame memo."""
+        frame = self._frame(model)
+        comps = frame.get(positions)
         if comps is None:
-            comps = memo[positions] = model.components(positions)
+            comps = frame[positions] = model.components(positions)
         return comps
+
+    def _nbr(self, model) -> tuple:
+        """Per agent position, per world index, the mask of that world's
+        class, memoized in the frame memo."""
+        frame = self._frame(model)
+        nbr = frame.get(None)
+        if nbr is None:
+            rows = []
+            for part in model.cells:
+                row = [0] * len(model.worlds)
+                for cell in part:
+                    for i in iter_bits(cell):
+                        row[i] = cell
+                rows.append(tuple(row))
+            nbr = frame[None] = tuple(rows)
+        return nbr
 
 
 # Node class -> its clause: clause(context, model, f, need) is f's set,

@@ -16,12 +16,12 @@ class _Side:
     def __init__(self, model: KripkeModel):
         self.model = model
         self.worlds = model.worlds
-        nbr = model._nbr
         self.profile = {}
         for i, w in enumerate(self.worlds):
             for j, v in enumerate(self.worlds):
                 self.profile[(w, v)] = frozenset(
-                    a for a, k in model._agent_index.items() if nbr[k][i] >> j & 1
+                    a for a, part in zip(model.agents, model.cells)
+                    if any(cell >> i & 1 and cell >> j & 1 for cell in part)
                 )
 
     def val(self, w: str) -> frozenset:

@@ -155,6 +155,15 @@ def test_sat_agent_pool_must_cover_the_formula(capsys):
         assert "unknown agent 'zz'" in err
 
 
+def test_sat_atom_pool_must_cover_the_formula(capsys):
+    # q outside the pool would be false in every candidate: a wrong verdict.
+    code, out, err = run(capsys, "sat", "p & q", "--atoms", "p", "--max-worlds", "2")
+    assert code == 66 and out == ""
+    assert "atom 'q' of the formula is not in the atom pool" in err
+    code, out, _ = run(capsys, "sat", "p & q", "--atoms", "q,p,r", "--max-worlds", "2")
+    assert code == 0 and '"status":"sat"' in out
+
+
 def test_sat_vocabulary_names_must_be_identifiers(capsys):
     # "a," splits into "a" and "": no formula can mention an empty agent.
     for argv, what in [(("K{a} p", "--agents", "a,"), "agent name ''"),

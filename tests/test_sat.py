@@ -5,8 +5,10 @@ from itertools import permutations, product
 import pytest
 
 from glal import sat as sat_module
+from glal import semantics
 from glal.errors import BoundExceeded
 from glal.fuzz import random_formula
+from glal.model import KripkeModel, PointedModel
 from glal.sat import (
     SatQuery,
     bell_number,
@@ -14,8 +16,9 @@ from glal.sat import (
     sat_bounded,
     valid_bounded,
 )
-from glal.semantics import check
+from glal.semantics import EvalContext, check
 from glal.syntax import parse
+from uncached_context import UncachedContext
 
 
 def sat_unpruned(query):
@@ -161,6 +164,106 @@ def test_no_candidate_outlives_its_evaluation(monkeypatch):
     assert result.status == "unsat-up-to-bound"
     assert len(refs) > 1
     assert all(ref() is None for ref in refs)
+
+
+def test_no_refinement_outlives_its_candidate_when_frames_share_splits(monkeypatch):
+    groups = []  # per candidate: weakrefs to it and to the models refined from it
+    changed = set()  # (candidate, id) of each refinement that split a cell
+    built = []  # splits computed rather than read from a frame memo
+    real_build = sat_module._build
+    real_refined = EvalContext.refined
+    real_split = semantics._split_model
+
+    def recording_build(*args):
+        # Only the candidate evaluated last, and its refinements, may be alive.
+        assert all(ref() is None for group in groups[:-1] for ref in group)
+        model = real_build(*args)
+        groups.append([weakref.ref(model)])
+        return model
+
+    def recording_refined(self, model, splits, psi):
+        refined = real_refined(self, model, splits, psi)
+        groups[-1].append(weakref.ref(refined))
+        if refined is not model:
+            changed.add((len(groups), id(refined)))
+        return refined
+
+    def recording_split(model, splits, psi):
+        refined = real_split(model, splits, psi)
+        built.append(refined is not model)
+        return refined
+
+    monkeypatch.setattr(sat_module, "_build", recording_build)
+    monkeypatch.setattr(EvalContext, "refined", recording_refined)
+    monkeypatch.setattr(semantics, "_split_model", recording_split)
+    f = parse("[p]-{a,b} C{a,b} q & <q>+{a} (C{a,b} !p & [!p]-{b} K{b} q) & !p & !q")
+    result = sat_bounded(SatQuery(f, 3, agents=("a", "b"), atoms=("p", "q")))
+    assert result.status == "unsat-up-to-bound"
+    assert len(groups) > 1
+    assert all(ref() is None for group in groups for ref in group)
+    # Some refinements took cells another candidate of their frame had cut.
+    assert sum(built) < len(changed)
+
+
+def sat_enumerated(query):
+    """The enumeration oracle: every frame and valuation in order, with no
+    pruning, each candidate built from world names and evaluated in a fresh
+    ``UncachedContext``.  Returns (status, models examined, witness)."""
+    agents, atoms = query.vocabulary()
+    examined = 0
+    for n in range(1, query.max_worlds + 1):
+        worlds = [f"s{i:0{len(str(n - 1))}}" for i in range(n)]
+        for frame in product(list(partitions_as_cells(n)), repeat=len(agents)):
+            relations = {
+                a: [[worlds[i] for i in cell] for cell in cells] for a, cells in zip(agents, frame)
+            }
+            for vals in product(range(2 ** n), repeat=len(atoms)):
+                examined += 1
+                valuation = {
+                    p: [w for i, w in enumerate(worlds) if bits >> i & 1]
+                    for p, bits in zip(atoms, vals)
+                }
+                model = KripkeModel.from_partitions(worlds, agents, relations, valuation)
+                found = UncachedContext().mask(model, query.formula, model._full)
+                if found:
+                    point = model.worlds[(found & -found).bit_length() - 1]
+                    return "sat", examined, PointedModel(model, point)
+    return "unsat-up-to-bound", examined, None
+
+
+def test_sat_agrees_with_an_uncached_enumeration():
+    rng = random.Random(1818)
+
+    def literals(atoms):
+        return " & ".join(rng.choice(("", "!")) + p for p in atoms)
+
+    statuses = set()
+    for i in range(150):
+        # Pools in unsorted order: frames and valuations follow the pool.
+        agents = ("b", "a")[: rng.randint(1, 2)]
+        atoms = ("q", "p")[: rng.randint(1, 2)]
+        f = random_formula(rng, rng.randint(2, 4), atoms, agents)
+        coalition = ",".join(rng.sample(agents, rng.randint(1, len(agents))))
+        psi, sign = literals(atoms), rng.choice("+-")
+        text = [
+            f"{f}",
+            # Chains of possibilities need witnesses of several worlds.
+            f"({f}) & {literals(atoms)} & M{{{rng.choice(agents)}}} "
+            f"({literals(atoms)} & M{{{rng.choice(agents)}}} ({literals(atoms)}))",
+            # Negated laws: every candidate of every frame is evaluated, and
+            # both sides of a law meet refinements of one frame.
+            f"!([{psi}]+{{{coalition}}} C{{{coalition}}} ({psi}))",
+            f"!(([{psi}]{sign}{{{coalition}}} !({f})) <-> "
+            f"(({psi}) -> ![{psi}]{sign}{{{coalition}}} ({f})))",
+        ][i % 4]
+        query = SatQuery(parse(text), rng.choice((2, 3, 3)), agents=agents, atoms=atoms)
+        result = sat_bounded(query)
+        status, examined, witness = sat_enumerated(query)
+        assert result.status == status, text
+        assert result.models_examined == examined, text
+        assert result.witness == witness, text
+        statuses.add((status, witness and len(witness.model.worlds)))
+    assert statuses == {("sat", 1), ("sat", 2), ("sat", 3), ("unsat-up-to-bound", None)}
 
 
 def test_iso_pruning_soundness():

@@ -6,10 +6,11 @@ from glal.semantics import _CLAUSES, EvalContext
 
 
 class UncachedContext(EvalContext):
-    """Re-derives every satisfaction set, refinement, component
-    decomposition and coalition, and keeps no model.  It evaluates every
-    node on every world, whatever a caller needs, so it is also the
-    reference for requests that need only some worlds."""
+    """Re-derives every satisfaction set, refinement, frame-level result
+    (class rows, component decompositions, refined cells) and coalition,
+    and keeps no model.  It evaluates every node on every world, whatever a
+    caller needs, so it is also the reference for requests that need only
+    some worlds."""
 
     def intern(self, model):
         return model
@@ -20,8 +21,8 @@ class UncachedContext(EvalContext):
     def _memoized(self, model, key, build):
         return build()
 
-    def _components(self, model, positions):
-        return model.components(positions)
+    def _frame(self, model):
+        return {}
 
     def _members(self, model, coalition):
         return tuple(model.agent_position(a) for a in coalition_names(model, coalition))
