@@ -308,9 +308,29 @@ def distinguishing_formula_search(
     those two satsets, so with announcements enabled the signature also
     spans every one-step refinement of the base models by (negated) atoms;
     formulas only distinguishable after deeper refinement sequences may be
-    pruned.  Whatever is returned has been verified on the two points.  A
-    level that adds no representative ends the search: every deeper level
-    would apply the same operators to the same representatives.
+    pruned.  A level that adds no representative ends the search: every
+    deeper level would apply the same operators to the same
+    representatives.  Whatever is returned has been evaluated again on the
+    two points in their own models.
+
+    The signature is one satisfaction set on the disjoint union of those
+    models (the probes), block k holding probe k's worlds.  GLAL truth at a
+    world depends only on the submodel the world generates (Blackburn, de
+    Rijke & Venema 2001, §2.1), and a refinement or restriction of the
+    union is the union of those of its blocks, so block k of the union's
+    set is the set on probe k: one evaluation per candidate stands for one
+    per probe.
+
+    Candidates that provably repeat the signature of a candidate generated
+    before them are never generated, so the representatives, the saturation
+    stop and the returned formula are those of the full enumeration:
+
+    - ``E``, ``C`` and ``D`` over one agent: each is ``K`` of that agent,
+      whose class is its own closure class and meet cell;
+    - ``f & g`` with ``g`` before ``f`` among the representatives, and
+      ``f & f``: conjunction is commutative and idempotent;
+    - a global announcement to one agent: its closure class is the agent's
+      class, which the local announcement generated just before splits.
 
     Related points are answered at once: exact-profile bisimilarity
     preserves every GLAL formula, and collective bisimilarity every
@@ -337,6 +357,8 @@ def distinguishing_formula_search(
     probes = [pm, qm]
     if announcements:
         probes.extend(_refinement_probes(ctx, (pm, qm), atoms, coalitions))
+    union = ctx.intern(_disjoint_union(probes))
+    full, q_bit = union._full, len(pm.worlds) + qi
 
     seen = set()
     reps = []  # one formula per signature, in generation order
@@ -344,9 +366,11 @@ def distinguishing_formula_search(
     for _ in range(depth):
         known = len(reps)
         for f in layer:
-            sig = tuple(ctx.mask(m, f, m._full) for m in probes)
-            if sig[0] >> pi & 1 and not sig[1] >> qi & 1:
-                return f
+            sig = ctx.mask(union, f, full)
+            if sig >> pi & 1 and not sig >> q_bit & 1:
+                if ctx.mask(pm, f, 1 << pi) >> pi & 1 and not ctx.mask(qm, f, 1 << qi) >> qi & 1:
+                    return f
+                raise RuntimeError(f"{sx.print_formula(f)} does not distinguish the points")
             if sig not in seen:
                 seen.add(sig)
                 reps.append(f)
@@ -357,24 +381,52 @@ def distinguishing_formula_search(
 
 
 def _applications(base, agents, coalitions, announcements):
-    """Every operator applied to the formulas of ``base``, in search order."""
+    """Every operator applied to the formulas of ``base``, in search order,
+    but for the provable repeats that distinguishing_formula_search lists."""
+    groups = [co for co in coalitions if len(co.members) > 1]
     for f in base:
         yield sx.Not(f)
         for cls in sx.AGENT_OPS:
             for a in agents:
                 yield cls(a, f)
         for cls in sx.COALITION_OPS:
-            for co in coalitions:
+            for co in groups:
                 yield cls(co, f)
-    for f in base:
-        for g in base:
+    for i, f in enumerate(base):
+        for g in base[i + 1:]:
             yield sx.And(f, g)
     if announcements:
         for psi in base:
             for chi in base:
                 for co in coalitions:
-                    for cls in (sx.AnnLocal, sx.AnnGlobal):
-                        yield cls(psi, co, chi)
+                    yield sx.AnnLocal(psi, co, chi)
+                    if len(co.members) > 1:
+                        yield sx.AnnGlobal(psi, co, chi)
+
+
+def _disjoint_union(models) -> KripkeModel:
+    """The models side by side, over the union of their agents and atoms.
+
+    Block k holds model k's worlds, shifted past the earlier blocks and
+    named ``<k>.<world>`` with k zero-padded, so that names sort in index
+    order.  A block gets singleton cells for an agent its model lacks, and
+    no world for an atom its model lacks.
+    """
+    agents = sorted({a for m in models for a in m.agents})
+    valuation = dict.fromkeys(sorted({a for m in models for a in m.atom_names()}), 0)
+    width = len(str(len(models) - 1))
+    worlds, cells, shift = [], [[] for _ in agents], 0
+    for k, m in enumerate(models):
+        worlds += [f"{k:0{width}}.{w}" for w in m.worlds]
+        for agent, part in zip(agents, cells):
+            if agent in m.agents:
+                part += [cell << shift for cell in m.cells[m.agent_position(agent)]]
+            else:
+                part += [1 << i for i in range(shift, shift + len(m.worlds))]
+        for atom, mask in m.valuation:
+            valuation[atom] |= mask << shift
+        shift += len(m.worlds)
+    return KripkeModel(tuple(worlds), tuple(agents), tuple(map(tuple, cells)), valuation)
 
 
 def _refinement_probes(ctx: EvalContext, models, atoms, coalitions) -> list:

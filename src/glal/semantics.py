@@ -17,8 +17,8 @@ position, scope mask) pair per coalition member, the scope being the
 member's class (local), the members' closure class (global) or the
 all-agents closure class (semi-private).  Refinements are memoized under
 those splits and the announced mask inside them, and refined models are
-structurally interned.  Coalitions resolve to agent positions once per
-agent tuple.
+structurally interned.  Coalitions, and the agent of each ``K``, ``Kw``
+and ``M`` node, resolve to agent positions once per agent tuple.
 
 An ``EvalContext`` memoizes in two parts, and frees both with itself.  Per
 model, it keeps what depends on the valuation: satisfaction sets (an int
@@ -190,7 +190,7 @@ class EvalContext:
         return model._full & ~(self.mask(model, f.left, need) ^ self.mask(model, f.right, need))
 
     def _know(self, model, f, need):
-        cells = model.cells[model.agent_position(f.agent)]
+        cells = model.cells[self._members(model, (f.agent,))[0]]
         region = need if need == model._full else _reach(cells, need)
         sub = self.mask(model, f.sub, region)
         out = 0
@@ -200,7 +200,7 @@ class EvalContext:
         return out
 
     def _know_whether(self, model, f, need):
-        cells = model.cells[model.agent_position(f.agent)]
+        cells = model.cells[self._members(model, (f.agent,))[0]]
         region = need if need == model._full else _reach(cells, need)
         sub = self.mask(model, f.sub, region)
         out = 0
@@ -211,7 +211,7 @@ class EvalContext:
         return out
 
     def _dual(self, model, f, need):
-        cells = model.cells[model.agent_position(f.agent)]
+        cells = model.cells[self._members(model, (f.agent,))[0]]
         region = need if need == model._full else _reach(cells, need)
         sub = self.mask(model, f.sub, region)
         out = 0

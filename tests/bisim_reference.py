@@ -4,10 +4,15 @@ Pairs are pairs of world names and every agent profile is a frozenset of
 agent names in an n-by-n dict, exactly as the engine computed them before it
 moved to world indices and agent masks.  It runs the same deletion order,
 Reach backtracking and failure reasons, so tests require equal results.
+
+It also keeps the distinguishing-formula search that evaluates every
+candidate on each probe model in turn and generates every candidate.
 """
 
-from glal.bisim import KINDS, BisimResult, FailReason
+from glal import syntax as sx
+from glal.bisim import KINDS, BisimResult, FailReason, _nonempty_subsets, _refinement_probes
 from glal.model import KripkeModel, PointedModel
+from glal.semantics import EvalContext
 
 
 class _Side:
@@ -258,3 +263,64 @@ def pointed_bisim(
                     False, kind, fail_reason=FailReason((None, w2), "Back", ("unmatched",))
                 )
     return BisimResult(True, kind, witness=witness)
+
+
+def distinguishing_formula_search(p: PointedModel, q: PointedModel, depth: int,
+                                  operators: str = "all"):
+    """The search as it was before it evaluated candidates on one disjoint
+    union: a candidate's signature is the tuple of its satisfaction sets,
+    one per probe, and every operator application is generated, the
+    provable repeats included."""
+    if depth == 0:
+        return None
+    announcements = operators == "all"
+    if pointed_bisim(p, q, "plusminus" if announcements else "collective").related:
+        return None
+    ctx = EvalContext()
+    pm = ctx.intern(p.model)
+    qm = ctx.intern(q.model)
+    pi = pm.world_index(p.point)
+    qi = qm.world_index(q.point)
+    agents = tuple(sorted(set(pm.agents) & set(qm.agents)))
+    atoms = sorted(set(pm.atom_names()) | set(qm.atom_names()))
+    coalitions = [sx.Coalition.of(*combo) for combo in _nonempty_subsets(agents)]
+    probes = [pm, qm]
+    if announcements:
+        probes.extend(_refinement_probes(ctx, (pm, qm), atoms, coalitions))
+    seen = set()
+    reps = []
+    layer = [sx.Atom(name) for name in atoms] + [sx.TOP, sx.BOT]
+    for _ in range(depth):
+        known = len(reps)
+        for f in layer:
+            sig = tuple(ctx.mask(m, f, m._full) for m in probes)
+            if sig[0] >> pi & 1 and not sig[1] >> qi & 1:
+                return f
+            if sig not in seen:
+                seen.add(sig)
+                reps.append(f)
+        if len(reps) == known:
+            break
+        layer = _applications(list(reps), agents, coalitions, announcements)
+    return None
+
+
+def _applications(base, agents, coalitions, announcements):
+    """Every operator applied to the formulas of ``base``, in search order."""
+    for f in base:
+        yield sx.Not(f)
+        for cls in sx.AGENT_OPS:
+            for a in agents:
+                yield cls(a, f)
+        for cls in sx.COALITION_OPS:
+            for co in coalitions:
+                yield cls(co, f)
+    for f in base:
+        for g in base:
+            yield sx.And(f, g)
+    if announcements:
+        for psi in base:
+            for chi in base:
+                for co in coalitions:
+                    for cls in (sx.AnnLocal, sx.AnnGlobal):
+                        yield cls(psi, co, chi)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -5,19 +6,24 @@ import time
 import pytest
 
 import bisim_reference as reference
+from glal import bisim as glal_bisim
 from glal.bisim import (
     KINDS,
+    _disjoint_union,
     _refinement_probes,
     distinguishing_formula_search,
     max_bisim,
     pointed_bisim,
     verify_bisim,
 )
-from glal.fuzz import duplicate_worlds, random_formula, random_model
+from glal.fuzz import duplicate_worlds, random_formula, random_model, random_partition
 from glal.model import KripkeModel, PointedModel
 from glal.semantics import EvalContext, check, refine_global, refine_local
 from glal.scenarios import bit_channel
-from glal.syntax import Atom, Coalition, Not, depth, print_formula
+from glal.syntax import (
+    ANNOUNCE_OPS, COALITION_OPS, EVERYONE, Atom, Coalition, Not, PalAnn, _rebuild, children,
+    depth, print_formula,
+)
 
 
 def channel_points():
@@ -164,6 +170,136 @@ def test_distinguishing_formula_on_channel():
         assert f is not None
         assert depth(f) <= bound
         assert check(p, f) and not check(right, f)
+    # What the search has returned on the channel pair since before it
+    # evaluated candidates on one disjoint union.
+    for bound in (3, 4, 5):
+        f = distinguishing_formula_search(p, q, bound)
+        assert print_formula(f) == "[bit0]-{e,r} (C{e,r} (bit0))"
+
+
+def atoms_at(pointed):
+    m = pointed.model
+    i = m.world_index(pointed.point)
+    return {atom for atom, mask in m.valuation if mask >> i & 1}
+
+
+def search_pairs(rng, count):
+    """Fuzzed points that agree on their atoms where the models allow it.
+    Every third pair differs in its agent sets and every third in its atom
+    sets; in the others the right model is the left one with one agent's
+    classes drawn again.  Operator sets and depths 1-3 take turns."""
+    for i in range(count):
+        agents = rng.choice([["a"], ["a", "b"], ["a", "b", "c"]])
+        atoms = rng.choice([["p"], ["p", "q"]])
+        left = random_model(rng, rng.randint(1, 4), agents, atoms)
+        if i % 3 == 0:
+            cells = list(left.cells)
+            bits = [1 << k for k in range(len(left.worlds))]
+            cells[rng.randrange(len(cells))] = [sum(c) for c in random_partition(rng, bits)]
+            right = KripkeModel(left.worlds, left.agents, tuple(cells), left.valuation)
+        else:
+            if i % 3 == 1:
+                agents = rng.choice([["a"], ["a", "b"], ["b", "c"], ["a", "c"]])
+            else:
+                atoms = rng.choice([["p"], ["q"], [], ["p", "q"]])
+            right = random_model(rng, rng.randint(1, 4), agents, atoms)
+        p = PointedModel(left, rng.choice(left.worlds))
+        points = [PointedModel(right, w) for w in right.worlds]
+        alike = [q for q in points if atoms_at(q) == atoms_at(p)]
+        yield p, rng.choice(alike or points), ("all", "epistemic")[i % 2], 1 + i % 3
+
+
+def recorded_levels(module, monkeypatch) -> list:
+    """Patch ``module._applications`` to record the representatives each
+    level is built from; returns the list they are appended to."""
+    levels = []
+    applications = module._applications
+
+    def record(base, *args):
+        levels.append(list(base))
+        return applications(base, *args)
+
+    monkeypatch.setattr(module, "_applications", record)
+    return levels
+
+
+def test_search_matches_per_probe_reference(monkeypatch):
+    # The reference evaluates each candidate on every probe model and
+    # generates every candidate: the search must keep the same
+    # representatives level by level and return the same formula.
+    got_levels = recorded_levels(glal_bisim, monkeypatch)
+    want_levels = recorded_levels(reference, monkeypatch)
+    rng = random.Random(20)
+    found = {}
+    for p, q, operators, bound in search_pairs(rng, 600):
+        got = distinguishing_formula_search(p, q, bound, operators)
+        want = reference.distinguishing_formula_search(p, q, bound, operators)
+        assert (got and print_formula(got)) == (want and print_formula(want)), (p, q)
+        assert got_levels == want_levels
+        got_levels.clear()
+        want_levels.clear()
+        key = (operators, None if got is None else depth(got))
+        found[key] = found.get(key, 0) + 1
+    for operators in ("all", "epistemic"):
+        assert found.get((operators, None), 0) >= 10
+        assert found.get((operators, 2), 0) >= 10
+    assert found.get(("all", 3), 0) + found.get(("epistemic", 3), 0) >= 3
+
+
+def test_search_rechecks_its_formula_on_the_points(monkeypatch):
+    # With the first two blocks of the union swapped, the signature test
+    # picks a formula true at q and false at p: the recheck on the two
+    # points in their own models must refuse it.
+    a = KripkeModel.from_partitions(["u1", "u2"], ["a"], {"a": [["u1", "u2"]]}, {"p": ["u1"]})
+    b = KripkeModel.from_partitions(["u1", "u2"], ["a"], {"a": [["u1"], ["u2"]]}, {"p": ["u1"]})
+    union = glal_bisim._disjoint_union
+    monkeypatch.setattr(glal_bisim, "_disjoint_union",
+                        lambda probes: union([probes[1], probes[0], *probes[2:]]))
+    with pytest.raises(RuntimeError, match="does not distinguish the points"):
+        distinguishing_formula_search(PointedModel(a, "u1"), PointedModel(b, "u1"), 3)
+
+
+def with_everyone(rng, f):
+    """``f`` with about a third of its coalitions replaced by ``*``."""
+    subs = [with_everyone(rng, sub) for sub in children(f)]
+    f = _rebuild(f, subs) if subs else f
+    if isinstance(f, COALITION_OPS + ANNOUNCE_OPS) and rng.random() < 0.35:
+        f = dataclasses.replace(f, coalition=EVERYONE)
+    return f
+
+
+def test_disjoint_union_is_each_model_side_by_side():
+    # Truth at a world depends only on its generated submodel, so block k of
+    # a satisfaction set on the union is the set on model k.
+    rng = random.Random(77)
+    choices = [["a", "b"], ["a", "b", "c"], ["a", "c"]]
+    for trial in range(120):
+        if trial % 2:
+            vocabularies = [rng.choice(choices) for _ in range(4)]
+        else:
+            vocabularies = [rng.choice(choices)] * 4
+        models = [random_model(rng, rng.randint(1, 4), agents,
+                               rng.choice([["p"], ["p", "q"], ["q"]]))
+                  for agents in vocabularies[:rng.randint(2, 4)]]
+        common = sorted(set.intersection(*(set(m.agents) for m in models)))
+        union = _disjoint_union(models)
+        assert union.worlds == tuple(sorted(union.worlds))
+        for _ in range(4):
+            f = random_formula(rng, 4, ["p", "q"], common, fragment=rng.choice(["full", "pal"]))
+            if rng.random() < 0.4:
+                f = PalAnn(random_formula(rng, 3, ["p", "q"], common, fragment="pal"), f)
+            if len({m.agents for m in models}) == 1:
+                f = with_everyone(rng, f)
+            got = EvalContext().mask(union, f, union._full)
+            shift = 0
+            for m in models:
+                assert got >> shift & m._full == EvalContext().mask(m, f, m._full), \
+                    print_formula(f)
+                shift += len(m.worlds)
+    # Eleven blocks need two-digit block names to sort in index order.
+    singles = [random_model(rng, 1, ["a"], ["p"]) for _ in range(11)]
+    union = _disjoint_union(singles)
+    assert union.worlds[-1] == "10.u0" and union.worlds == tuple(sorted(union.worlds))
 
 
 def test_distinguishing_formula_identical_models():
