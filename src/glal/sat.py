@@ -30,6 +30,16 @@ least of its class: pruning changes neither the witness nor
 skipped ones included.  Status is reported as unsat-up-to-bound, never as
 plain unsat.
 
+Only connected frames are evaluated.  Truth at a world depends only on the
+world's all-agents component, its generated submodel (Blackburn, de Rijke
+& Venema, *Modal Logic*, 2001, §2.1): announcements only cut relations, so
+no refinement reaches outside the component.  A disconnected candidate of
+n worlds is the disjoint union of its components, each isomorphic to a
+candidate of fewer worlds that the enumeration has already evaluated.  So
+no disconnected candidate can be the first witness, and a frame whose
+classes do not link world 0 to every world is skipped whole, before its
+automorphisms are sought; ``models_examined`` counts its candidates too.
+
 ``SatQuery`` checks a query whole when it is made: world count within
 ``MAX_WORLDS``, estimated candidates within ``BUDGET``, its names, and
 that its agent and atom pools cover the formula.
@@ -155,7 +165,11 @@ def sat_bounded(query: SatQuery) -> SatResult:
         relabelings = _relabelings(n)
         per_frame = 2 ** (n * len(atoms))
         orbits = {}  # automorphism tables -> their orbit-minimal valuations
+        full = (1 << n) - 1
         for frame in product(range(len(partitions)), repeat=len(agents)):
+            if not _connected(frame, partitions, full):
+                examined += per_frame
+                continue
             automorphisms = _frame_automorphisms(frame, relabelings)
             if automorphisms is None:
                 examined += per_frame
@@ -235,6 +249,20 @@ def _relabelings(n: int) -> tuple:
         )
         perms.append((on_partitions, on_masks))
     return tuple(perms)
+
+
+def _connected(frame: tuple, partitions: tuple, full: int) -> bool:
+    """Whether world 0 reaches all the worlds of ``full`` through the classes
+    of the frame's partitions (indices into ``partitions``)."""
+    reach = 1
+    while True:
+        before = reach
+        for k in frame:
+            for cell in partitions[k]:
+                if cell & reach:
+                    reach |= cell
+        if reach == before:
+            return reach == full
 
 
 def _frame_automorphisms(frame: tuple, relabelings) -> tuple | None:

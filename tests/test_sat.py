@@ -23,9 +23,11 @@ from uncached_context import UncachedContext
 
 def sat_unpruned(query):
     """The enumeration oracle: sat_bounded evaluating every candidate, as if
-    no relabeling of the worlds could map one candidate onto another."""
+    no relabeling of the worlds could map one candidate onto another and
+    every frame were connected."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sat_module, "_relabelings", lambda n: ())
+        patch.setattr(sat_module, "_connected", lambda *args: True)
         return sat_bounded(query)
 
 
@@ -266,6 +268,62 @@ def test_sat_agrees_with_an_uncached_enumeration():
     assert statuses == {("sat", 1), ("sat", 2), ("sat", 3), ("unsat-up-to-bound", None)}
 
 
+def test_sat_agrees_with_an_uncached_enumeration_on_multi_world_witnesses():
+    # The enumeration oracle evaluates disconnected candidates too, so a
+    # witness of several worlds shows that none of them comes first.
+    rng = random.Random(2121)
+
+    def literals(atoms):
+        return " & ".join(rng.choice(("", "!")) + p for p in atoms)
+
+    witnesses = []
+    for i in range(60):
+        kind = i % 6
+        agents = ("b", "a")[: rng.randint(1, 2)]
+        atoms = ("q", "p")[: rng.randint(1, 2)]
+        if kind == 3:  # two agents, so that E{*} is not C{*}
+            agents, atoms = rng.choice((("a", "b"), ("b", "a"))), atoms[:1]
+        x, y = rng.choice(agents), rng.choice(agents)
+        coalition = ",".join(rng.sample(agents, rng.randint(0, len(agents))))
+        both = ",".join(rng.sample(agents, len(agents)))
+        psi, sign = literals(atoms), rng.choice("+-")
+        flip = ("!" + psi).replace("!!", "")  # psi with its first literal negated
+        step = rng.choice([
+            f"M{{{y}}}", f"!K{{{y}}} !", f"!D{{{coalition}}} !", f"!C{{{coalition}}} !",
+            "!E{*} !", "!C{*} !", f"<{psi}>{sign}{{{coalition}}} M{{{y}}}", f"[{psi}] M{{{y}}}",
+        ])
+        text = [
+            # Chains of possibilities need witnesses of several worlds.
+            f"{literals(atoms)} & M{{{x}}} ({literals(atoms)} & {step} ({literals(atoms)}))",
+            # Laws that fail: what an agent holds possible need not survive
+            # an announcement to it, an announcement to no one teaches
+            # nothing, a local announcement makes nothing common knowledge,
+            # everybody's knowledge is not common knowledge, and a Moore
+            # sentence is unsuccessful.
+            f"!(M{{{x}}} ({flip}) -> [{psi}]{sign}{{{x}{coalition and ','}{coalition}}} "
+            f"M{{{x}}} ({flip}))",
+            f"!([{psi}]-{{{both}}} C{{{both}}} ({psi})) & {step} ({literals(atoms)})"
+            if len(agents) == 2 else
+            f"!([{psi}]{sign}{{}} K{{{x}}} ({psi})) & M{{{x}}} ({literals(atoms)})",
+            f"!(E{{*}} ({psi}) -> C{{*}} ({psi})) & {step} ({literals(atoms)})",
+            f"({psi}) & !K{{{x}}} ({psi}) & [({psi}) & !K{{{x}}} ({psi})] K{{{x}}} ({psi})",
+            # A law, negated, with both signs and empty coalitions: unsat.
+            f"!(([{psi}]{sign}{{{coalition}}} !{step} ({psi})) <-> "
+            f"(({psi}) -> ![{psi}]{sign}{{{coalition}}} {step} ({psi})))",
+        ][kind]
+        # 4 worlds unless the oracle would build tens of thousands of models.
+        small = kind != 5 and estimated_candidates(4, len(agents), len(atoms)) < 5000
+        query = SatQuery(parse(text), 4 if small else 3, agents=agents, atoms=atoms)
+        result = sat_bounded(query)
+        status, examined, witness = sat_enumerated(query)
+        assert result.status == status, text
+        assert result.models_examined == examined, text
+        assert result.witness == witness, text
+        witnesses.append(witness and len(witness.model.worlds))
+    assert sum(1 for k in witnesses if k and k >= 2) >= 30
+    assert None in witnesses
+
+
 def test_iso_pruning_soundness():
     rng = random.Random(123)
     agreements = 0
@@ -340,6 +398,37 @@ def _canonical_form(n, combo, vals):
     return min(forms)
 
 
+def _world_components(n, combo):
+    """The all-agents components of a frame given as world-index cells, each
+    a sorted tuple of worlds, by least world."""
+    comps = []
+    for i in range(n):
+        if any(i in comp for comp in comps):
+            continue
+        comp, grown = {i}, True
+        while grown:
+            grown = False
+            for cells in combo:
+                for cell in cells:
+                    if comp & set(cell) and not comp >= set(cell):
+                        comp |= set(cell)
+                        grown = True
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def _restricted(combo, vals, comp):
+    """The candidate on the worlds of the component ``comp``, renumbered
+    from 0 in order, as (cells, valuation masks)."""
+    index = {w: j for j, w in enumerate(comp)}
+    cells = tuple(
+        tuple(tuple(index[w] for w in cell) for cell in cells if cell[0] in index)
+        for cells in combo
+    )
+    masks = tuple(sum(1 << index[w] for w in comp if bits >> w & 1) for bits in vals)
+    return cells, masks
+
+
 @pytest.mark.parametrize("agents, atoms", [(("a", "b"), ("p",)), (("a",), ("p", "q"))])
 def test_pruning_builds_one_candidate_per_isomorphism_class(monkeypatch, agents, atoms):
     built = []
@@ -358,11 +447,58 @@ def test_pruning_builds_one_candidate_per_isomorphism_class(monkeypatch, agents,
     monkeypatch.setattr(sat_module, "_build", counting_build)
     result = sat_bounded(SatQuery(parse("p & !p"), 4, agents=agents, atoms=atoms))
     assert result.status == "unsat-up-to-bound"
+    # One class per connected candidate: a disconnected one is never evaluated.
     classes = set()
     for n in range(1, 5):
         partitions = list(partitions_as_cells(n))
         for combo in product(partitions, repeat=len(agents)):
+            if len(_world_components(n, combo)) > 1:
+                continue
             for vals in product(range(2 ** n), repeat=len(atoms)):
                 classes.add(_canonical_form(n, combo, vals))
     assert len(built) == len(classes)
     assert set(built) == classes
+
+
+@pytest.mark.parametrize("agents, atoms", [
+    (("a",), ("p",)), (("a",), ("p", "q")), (("a", "b"), ("p",)), (("a", "b"), ("p", "q")),
+])
+def test_disconnected_candidates_are_unions_of_smaller_connected_classes(
+        monkeypatch, agents, atoms):
+    # Truth at a world depends only on its all-agents component, so a
+    # disconnected candidate is satisfiable only if one of its components
+    # is.  Each component is a connected class with fewer worlds, met by
+    # the enumeration at its own world count.
+    connected = set()  # canonical forms of the connected candidates so far
+    canonical = {}  # (worlds, cells, masks) -> canonical form
+    for n in range(1, 5):
+        smaller = frozenset(connected)
+        partitions = list(partitions_as_cells(n))
+        for frame in product(range(len(partitions)), repeat=len(agents)):
+            combo = tuple(partitions[k] for k in frame)
+            comps = _world_components(n, combo)
+            assert sat_module._connected(frame, sat_module._partitions(n), (1 << n) - 1) == (
+                len(comps) == 1)
+            for vals in product(range(2 ** n), repeat=len(atoms)):
+                if len(comps) == 1:
+                    if n < 4:
+                        connected.add(_canonical_form(n, combo, vals))
+                    continue
+                for comp in comps:
+                    key = (len(comp), *_restricted(combo, vals, comp))
+                    if key not in canonical:
+                        canonical[key] = _canonical_form(*key)
+                    assert canonical[key] in smaller
+    components = []
+    real_build = sat_module._build
+
+    def recording_build(*args):
+        model = real_build(*args)
+        components.append(len(model.components(tuple(range(len(agents))))))
+        return model
+
+    monkeypatch.setattr(sat_module, "_build", recording_build)
+    result = sat_bounded(SatQuery(parse("p & !p"), 4, agents=agents, atoms=atoms))
+    assert result.status == "unsat-up-to-bound"
+    assert result.models_examined == estimated_candidates(4, len(agents), len(atoms))
+    assert components and set(components) == {1}
