@@ -10,19 +10,30 @@ The checks run on the models' own representation.  A pair is (left world
 index, right world index); worlds are sorted, so index order is name order.
 While a pass runs, the candidate relation is one mask of related worlds per
 world on each side.  The agents linking world i to world j form a profile,
-an int mask over the sorted union of both models' agents: exact-profile
-matching is ``==``, collective matching is ``prof & ~prof2 == 0``.  Names
-appear only in ``FailReason``, in witnesses and in ``max_bisim``'s result.
+an int mask over the sorted union of both models' agents.  Each side keeps,
+per world, its class for each agent and its exact-profile classes: the
+worlds each profile links it to, the empty profile included.  The n-by-n
+table of profiles is built only for Reach.
+
+Forth and Back work on pre-images.  The pre-image of a mask E of right
+worlds is the OR of the masks of left worlds related to the worlds of E.
+The move from (w, w2) to a left world v is matched when v lies in the
+pre-image of its target: w2's class for the moving agent (modal), the
+intersection of w2's classes for the agents of v's profile (collective),
+or w2's class for v's exact profile (exact-profile).  So one check is one
+pre-image per agent, or per profile class of w, costing one OR per world
+of its target, and one AND-NOT with the worlds that must be matched.  An
+exact-profile check reads every right world once, since w2's classes
+partition them.  Names appear only in ``FailReason``, in witnesses and in
+``max_bisim``'s result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 
 from . import syntax as sx
-from .model import KripkeModel, PointedModel, iter_bits, lowest_bit
+from .model import KripkeModel, PointedModel, iter_bits
 from .semantics import EvalContext
 
 KINDS = ("modal", "plusminus", "collective")
@@ -55,40 +66,106 @@ class BisimResult:
         return out
 
 
-def _tables(model: KripkeModel, agents: tuple) -> tuple:
-    """Each world's sorted atoms, and ``prof[i][j]``: the agents linking
-    world i to world j, as a mask with one bit per entry of ``agents``."""
-    n = len(model.worlds)
-    prof = [[0] * n for _ in range(n)]
-    for agent, part in zip(model.agents, model.cells):
-        bit = 1 << agents.index(agent)
-        for cell in part:
-            for i in iter_bits(cell):
-                for j in iter_bits(cell):
-                    prof[i][j] |= bit
-    return [tuple(a for a, mask in model.valuation if mask >> i & 1) for i in range(n)], prof
+class _Side:
+    """One model's tables over the agents of both models.
 
-
-def _forth_fails(prof, prof2, w, w2, kind, fwd):
-    """First unmatched move from (w, w2) left-to-right, or None.
-
-    ``fwd[v]`` is the mask of right worlds the candidate pairs with left
-    world v.  A failure is (v, agent mask).  Modal moves are per agent and
-    the lowest unmatched one is reported; plusminus matches exact profiles
-    (including the empty one), collective inclusive ones.
+    ``atoms[i]`` is world i's sorted atoms and ``classes[i][k]`` its class
+    for agent k, 0 where the model lacks the agent.  ``profiles[i]`` maps
+    each profile p linking world i to some world to its exact-profile
+    class: the worlds that the agents of p, and no other, link to i.  The
+    empty profile maps to the worlds no agent links to i.
     """
-    row2 = prof2[w2]
-    for v, p in enumerate(prof[w]):
-        if not p and kind != "plusminus":
-            continue
-        related = [row2[v2] for v2 in iter_bits(fwd[v])]
-        if kind == "modal":
-            missing = p & ~reduce(or_, related, 0)
-            if missing:
-                return (v, lowest_bit(missing))
-        elif not any(p2 == p if kind == "plusminus" else p & ~p2 == 0 for p2 in related):
-            return (v, p)
-    return None
+
+    __slots__ = ("atoms", "classes", "profiles", "_table")
+
+    def __init__(self, model: KripkeModel, agents: tuple):
+        n, full = len(model.worlds), model._full
+        classes = [[0] * len(agents) for _ in range(n)]
+        for agent, part in zip(model.agents, model.cells):
+            k = agents.index(agent)
+            for cell in part:
+                for i in iter_bits(cell):
+                    classes[i][k] = cell
+        profiles = []
+        for row in classes:
+            linked = {}  # bit of a world linked to this one -> its profile
+            bit = 1
+            for cell in row:
+                while cell:
+                    low = cell & -cell
+                    linked[low] = linked.get(low, 0) | bit
+                    cell ^= low
+                bit <<= 1
+            split, rest = {}, full
+            for low, p in linked.items():
+                split[p] = split.get(p, 0) | low
+                rest ^= low
+            if rest:
+                split[0] = rest
+            profiles.append(split)
+        self.atoms = [tuple(a for a, mask in model.valuation if mask >> i & 1) for i in range(n)]
+        self.classes = classes
+        self.profiles = profiles
+        self._table = None
+
+    def table(self) -> list:
+        """``table[i][j]``: the profile linking world i to world j.  Only
+        Reach reads it, so it is built on first use."""
+        if self._table is None:
+            n = len(self.profiles)
+            self._table = [[0] * n for _ in range(n)]
+            for row, split in zip(self._table, self.profiles):
+                for p, group in split.items():
+                    for j in iter_bits(group) if p else ():
+                        row[j] = p
+        return self._table
+
+
+def _preimage(back, mask: int) -> int:
+    """The worlds that ``back`` pairs with some world of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= back[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _forth_fails(side, other, w, w2, kind, back):
+    """First unmatched move from (w, w2) out of ``side`` into ``other``, or None.
+
+    ``back[v2]`` is the mask of ``side`` worlds the candidate pairs with
+    world v2 of ``other``.  The move to v is matched when v lies in the
+    pre-image of its target set: for a modal move by agent k, w2's class
+    for k; for a collective move by profile p, the intersection of w2's
+    classes for the agents of p; for an exact-profile move, w2's class for
+    profile p, the empty profile included.  A failure is (v, agent mask)
+    for the lowest unmatched v, the mask being its lowest unmatched agent
+    (modal) or its profile.
+    """
+    best = None
+    if kind == "modal":
+        row2 = other.classes[w2]
+        for k, cell in enumerate(side.classes[w]):
+            bad = cell & ~_preimage(back, row2[k]) if cell else 0
+            if bad and (best is None or bad & -bad < best[0]):
+                best = (bad & -bad, 1 << k)
+    else:
+        exact = kind == "plusminus"
+        row2, split2 = other.classes[w2], other.profiles[w2]
+        for p, group in side.profiles[w].items():
+            if exact:
+                target = split2.get(p, 0)
+            elif not p:
+                continue
+            else:
+                target = -1
+                for k in iter_bits(p):
+                    target &= row2[k]
+            bad = group & ~_preimage(back, target)
+            if bad and (best is None or bad & -bad < best[0]):
+                best = (bad & -bad, p)
+    return None if best is None else (best[0].bit_length() - 1, best[1])
 
 
 def _fail_reason(left, right, agents, kind, pair, condition, detail=()) -> FailReason:
@@ -138,11 +215,12 @@ def _prepare(left, right, kind):
     if kind not in KINDS:
         raise ValueError(f"unknown bisimulation kind {kind!r}")
     agents = tuple(sorted(set(left.agents) | set(right.agents)))
-    (lval, lp), (rval, rp) = _tables(left, agents), _tables(right, agents)
+    lp, rp = _Side(left, agents), _Side(right, agents)
     reasons = {}  # pairs failing on atoms have none
-    current = {
-        (w, w2) for w, atoms in enumerate(lval) for w2, atoms2 in enumerate(rval) if atoms == atoms2
-    }
+    alike = {}  # atoms -> the right worlds that have them
+    for w2, atoms in enumerate(rp.atoms):
+        alike.setdefault(atoms, []).append(w2)
+    current = {(w, w2) for w, atoms in enumerate(lp.atoms) for w2 in alike.get(atoms, ())}
     current = _forthback_fixpoint(lp, rp, kind, current, reasons)
     return agents, lp, rp, frozenset(current), reasons
 
@@ -151,17 +229,17 @@ def _forthback_fixpoint(lp, rp, kind, current, reasons):
     """Delete Forth/Back violators to fixpoint (monotone, hence sound)."""
     while True:
         deleted = False
-        fwd, bwd = [0] * len(lp), [0] * len(rp)
+        fwd, bwd = [0] * len(lp.atoms), [0] * len(rp.atoms)
         for (v, v2) in current:
             fwd[v] |= 1 << v2
             bwd[v2] |= 1 << v
         for pair in sorted(current):
             w, w2 = pair
-            bad = _forth_fails(lp, rp, w, w2, kind, fwd)
+            bad = _forth_fails(lp, rp, w, w2, kind, bwd)
             if bad is not None:
                 reasons[pair] = ("Forth", bad)
             else:
-                bad = _forth_fails(rp, lp, w2, w, kind, bwd)
+                bad = _forth_fails(rp, lp, w2, w, kind, fwd)
                 if bad is not None:
                     reasons[pair] = ("Back", bad)
             if bad is not None:
@@ -173,15 +251,17 @@ def _forthback_fixpoint(lp, rp, kind, current, reasons):
             return current
 
 
-def _conflict(lp, rp, x, y) -> bool:
-    """Reach incompatibility: the two pairs cannot coexist in one relation."""
+def _conflict(lt, rt, x, y) -> bool:
+    """Reach incompatibility: the two pairs cannot coexist in one relation.
+    ``lt`` and ``rt`` are the sides' profile tables."""
     (w, w2), (v, v2) = x, y
-    return lp[w][v] != rp[w2][v2]
+    return lt[w][v] != rt[w2][v2]
 
 
 def _first_conflict_with(lp, rp, pair, candidate):
+    lt, rt = lp.table(), rp.table()
     for other in sorted(candidate):
-        if _conflict(lp, rp, pair, other):
+        if _conflict(lt, rt, pair, other):
             return other
     return None
 
@@ -195,16 +275,17 @@ def _resolve(lp, rp, candidate, pinned):
     """
     if not pinned <= candidate:
         return None
+    lt, rt = lp.table(), rp.table()
     for a in sorted(pinned):
         for b in sorted(pinned):
-            if _conflict(lp, rp, a, b):
+            if _conflict(lt, rt, a, b):
                 return None
     while True:
         forced = {
             other
             for p in pinned
             for other in candidate
-            if other not in pinned and _conflict(lp, rp, p, other)
+            if other not in pinned and _conflict(lt, rt, p, other)
         }
         if forced:
             trimmed = _forthback_fixpoint(lp, rp, "plusminus", set(candidate - forced), {})
@@ -216,7 +297,7 @@ def _resolve(lp, rp, candidate, pinned):
         conflict = None
         for i, x in enumerate(ordered):
             for y in ordered[i + 1:]:
-                if _conflict(lp, rp, x, y):
+                if _conflict(lt, rt, x, y):
                     conflict = (x, y)
                     break
             if conflict:
@@ -234,20 +315,20 @@ def _resolve(lp, rp, candidate, pinned):
 def verify_bisim(left: KripkeModel, right: KripkeModel, relation, kind: str) -> list:
     """All condition violations of a claimed witness relation."""
     agents = tuple(sorted(set(left.agents) | set(right.agents)))
-    (lval, lp), (rval, rp) = _tables(left, agents), _tables(right, agents)
+    lp, rp = _Side(left, agents), _Side(right, agents)
     pairs = sorted({(left.world_index(w), right.world_index(w2)) for (w, w2) in relation})
-    fwd, bwd = [0] * len(lp), [0] * len(rp)
+    fwd, bwd = [0] * len(lp.atoms), [0] * len(rp.atoms)
     for (v, v2) in pairs:
         fwd[v] |= 1 << v2
         bwd[v2] |= 1 << v
     out = []
     for pair in pairs:
         w, w2 = pair
-        found = [] if lval[w] == rval[w2] else [("Atoms",)]
-        bad = _forth_fails(lp, rp, w, w2, kind, fwd)
+        found = [] if lp.atoms[w] == rp.atoms[w2] else [("Atoms",)]
+        bad = _forth_fails(lp, rp, w, w2, kind, bwd)
         if bad is not None:
             found.append(("Forth", bad))
-        bad = _forth_fails(rp, lp, w2, w, kind, bwd)
+        bad = _forth_fails(rp, lp, w2, w, kind, fwd)
         if bad is not None:
             found.append(("Back", bad))
         if kind == "plusminus":

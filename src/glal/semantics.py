@@ -17,8 +17,14 @@ position, scope mask) pair per coalition member, the scope being the
 member's class (local), the members' closure class (global) or the
 all-agents closure class (semi-private).  Refinements are memoized under
 those splits and the announced mask inside them, and refined models are
-structurally interned.  Coalitions, and the agent of each ``K``, ``Kw``
-and ``M`` node, resolve to agent positions once per agent tuple.
+structurally interned.  An announcement's groups depend only on the frame,
+the refinement kind, the coalition's positions and the announced worlds
+asked for, and its refined models on those and the announced mask inside
+the groups' scopes, never on the body: the groups are memoized per frame
+and the merged (refined model, worlds) plan per model, so ``[psi]co chi``
+costs one body evaluation per refined model for every further ``chi``.
+Coalitions, and the agent of each ``K``, ``Kw`` and ``M`` node, resolve to
+agent positions once per agent tuple.
 
 An ``EvalContext`` memoizes in two parts, and frees both with itself.  Per
 model, it keeps what depends on the valuation: satisfaction sets (an int
@@ -102,7 +108,7 @@ class EvalContext:
 
     def __init__(self):
         self._interned: dict = {}
-        # id(interned model) -> its memo, whose keys are of four shapes:
+        # id(interned model) -> its memo, whose keys are of five shapes:
         #   formula                   -> satisfaction set: an int mask once it
         #                                is known on every world, before that a
         #                                (known, set) pair of masks, the set
@@ -110,14 +116,24 @@ class EvalContext:
         #   psi                       -> restriction to the worlds of mask psi
         #   (psi, ((k, scope), ...))  -> split of agent k's cells in scope by
         #                                psi, cut to the union of the scopes
+        #   (kind, positions, hold, psi)
+        #                             -> plan of a kind announcement to the
+        #                                agent positions, asked for on the
+        #                                announced worlds hold, whose groups
+        #                                are two or more, announcing psi (cut
+        #                                to the groups' scopes): ((refined
+        #                                model, worlds), ...), one entry per
+        #                                distinct refined model
         #   None                      -> the memo of the model's frame
         self._memos: dict = {}
         # (all-worlds mask, cells) -> that frame's memo, whose keys are of
-        # three shapes, each value built from ints and tuples only:
+        # four shapes, each value built from ints and tuples only:
         #   None                      -> per agent position, per world
         #                                index, the mask of that world's class
         #   (agent position, ...)     -> component decomposition
         #   (psi, ((k, scope), ...))  -> the cells of the split above
+        #   (kind, positions, hold)   -> (the groups _groups makes of hold,
+        #                                the union of their scopes)
         self._frames: dict = {}
         # (agent tuple, coalition) -> the coalition's sorted agent positions
         self._coalitions: dict = {}
@@ -277,7 +293,10 @@ class EvalContext:
         """A local or global announcement, box or diamond.  The worlds of
         ``need`` where the announced formula holds are refined once per
         group of worlds that split the same classes, and the body is asked
-        for once per refined model, on the worlds refined to it."""
+        for once per refined model, on the worlds refined to it.  The
+        groups are memoized in the frame memo, and the plan of refined
+        models of two or more groups in the model's memo; one group's
+        refined model is memoized by ``refined`` itself."""
         kind, box = _ANNOUNCE_KINDS[type(f)]
         full = model._full
         psi = self.mask(model, f.announced, need)
@@ -285,24 +304,38 @@ class EvalContext:
         hold = psi & need
         if not hold:
             return out
-        groups = self._groups(model, kind, self._members(model, f.coalition), hold)
+        members = self._members(model, f.coalition)
+        frame = self._frame(model)
+        key = (kind, members, hold)
+        entry = frame.get(key)
+        if entry is None:
+            groups = self._groups(model, kind, members, hold)
+            span = 0
+            for splits, _ in groups:
+                span |= _span(splits)
+            entry = frame[key] = (tuple(groups), span)
+        groups, span = entry
         if need != full:
             # Each refinement reads the announced set on the classes it splits.
-            scope = 0
-            for splits, _ in groups:
-                scope |= _span(splits)
-            psi = self.mask(model, f.announced, need | scope)
+            psi = self.mask(model, f.announced, need | span)
         if len(groups) == 1:
             splits, worlds = groups[0]
             return out | self.mask(self.refined(model, splits, psi), f.sub, worlds) & worlds
+        psi &= span
+        plan = self._memoized(model, key + (psi,), lambda: self._plan(model, groups, psi))
+        for refined, worlds in plan:
+            out |= self.mask(refined, f.sub, worlds) & worlds
+        return out
+
+    def _plan(self, model, groups, psi) -> tuple:
+        """The refined models of ``groups`` by the announced mask ``psi``,
+        each with the union of the worlds of the groups refined to it."""
         asked = {}  # id(refined model) -> (refined model, worlds refined to it)
         for splits, worlds in groups:
             refined = self.refined(model, splits, psi)
             seen = asked.get(id(refined))
             asked[id(refined)] = (refined, worlds if seen is None else seen[1] | worlds)
-        for refined, worlds in asked.values():
-            out |= self.mask(refined, f.sub, worlds) & worlds
-        return out
+        return tuple(asked.values())
 
     def _groups(self, model, kind, members, hold) -> list:
         """The worlds of ``hold`` as (splits, worlds) pairs by lowest world:
@@ -363,7 +396,8 @@ class EvalContext:
         """The split of ``model`` (interned here) by the announced mask
         ``psi``, which need only be correct on the scopes of ``splits``."""
         psi &= _span(splits)
-        return self._memoized(model, (psi, splits), lambda: self._split(model, splits, psi))
+        return self._memoized(
+            model, (psi, splits), lambda: self.intern(self._split(model, splits, psi)))
 
     def _split(self, model, splits, psi) -> KripkeModel:
         """``_split_model(model, splits, psi)``, its cells memoized in the
@@ -388,15 +422,15 @@ class EvalContext:
         return members
 
     def _pal_model(self, model, psi) -> KripkeModel:
-        return self._memoized(model, psi, lambda: _restrict_model(model, psi))
+        return self._memoized(model, psi, lambda: self.intern(_restrict_model(model, psi)))
 
-    def _memoized(self, model, key, build) -> KripkeModel:
-        """The interned model ``build()`` makes from ``model``, memoized in
-        the memo of ``model`` (which must be interned here) under ``key``."""
+    def _memoized(self, model, key, build):
+        """``build()``, memoized in the memo of ``model`` (which must be
+        interned here) under ``key``."""
         memo = self._memos[id(model)]
         hit = memo.get(key)
         if hit is None:
-            hit = memo[key] = self.intern(build())
+            hit = memo[key] = build()
         return hit
 
     def _frame(self, model) -> dict:

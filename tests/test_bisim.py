@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import itertools
 import random
 import time
+from unittest import mock
 
 import pytest
 
@@ -19,7 +21,7 @@ from glal.bisim import (
 from glal.fuzz import duplicate_worlds, random_formula, random_model, random_partition
 from glal.model import KripkeModel, PointedModel
 from glal.semantics import EvalContext, check, refine_global, refine_local
-from glal.scenarios import bit_channel
+from glal.scenarios import bit_channel, muddy
 from glal.syntax import (
     ANNOUNCE_OPS, COALITION_OPS, EVERYONE, Atom, Coalition, Not, PalAnn, _rebuild, children,
     depth, print_formula,
@@ -107,42 +109,98 @@ def fuzzed_pairs(rng, count):
             yield left, random_model(rng, rng.randint(1, 4), agents, rng.choice([["p"], ["q"], []]))
 
 
-def hexagon_and_triangles():
-    """A six-cycle of a-, b- and c-links against two triangles of them.
+def cycle_and_triangles(n):
+    """An n-cycle of a-, b- and c-links against n/3 triangles of them.
 
     Every world looks alike locally, so the Forth/Back fixpoint keeps each
-    hexagon world paired with its counterparts in both triangles; but an
+    cycle world paired with its counterparts in every triangle; but an
     exact-profile bisimulation would be an isomorphism, so Reach fails.
     """
-    hexagon = KripkeModel.from_partitions(
-        [f"h{i}" for i in range(6)], ["a", "b", "c"],
-        {"a": [["h0", "h1"], ["h3", "h4"]], "b": [["h1", "h2"], ["h4", "h5"]],
-         "c": [["h2", "h3"], ["h5", "h0"]]})
-    triangles = KripkeModel.from_partitions(
-        ["t0", "t1", "t2", "u0", "u1", "u2"], ["a", "b", "c"],
-        {"a": [["t0", "t1"], ["u0", "u1"]], "b": [["t1", "t2"], ["u1", "u2"]],
-         "c": [["t2", "t0"], ["u2", "u0"]]})
-    return hexagon, triangles
+    width = len(str(n - 1))
+    cycle = [f"h{i:0{width}}" for i in range(n)]
+    triangles = [[f"t{j:0{width}}.{i}" for i in range(3)] for j in range(n // 3)]
+    agents = ["a", "b", "c"]
+    return (
+        KripkeModel.from_partitions(cycle, agents, {
+            a: [[cycle[i], cycle[(i + 1) % n]] for i in range(k, n, 3)]
+            for k, a in enumerate(agents)}),
+        KripkeModel.from_partitions(sum(triangles, []), agents, {
+            a: [[t[k], t[(k + 1) % 3]] for t in triangles] for k, a in enumerate(agents)}),
+    )
+
+
+def assert_matches_reference(left, right, rng, outcomes=None, relations=3, points=None):
+    """The engine and the name-based reference agree on ``max_bisim``, on
+    ``pointed_bisim`` at each point pair of ``points`` (default: all) with
+    and without ``total``, and on ``verify_bisim`` of each witness and of
+    random relations.  The reference's per-model tables are built once."""
+    pairs = [(w, w2) for w in left.worlds for w2 in right.worlds]
+    tables = functools.lru_cache(maxsize=None)(reference._Side)
+    with mock.patch.object(reference, "_Side", tables):
+        for kind in KINDS:
+            assert max_bisim(left, right, kind) == reference.max_bisim(left, right, kind)
+            for w, w2 in pairs if points is None else points:
+                p, q = PointedModel(left, w), PointedModel(right, w2)
+                for total in (False, True):
+                    got = pointed_bisim(p, q, kind, total)
+                    assert got.to_obj() == reference.pointed_bisim(p, q, kind, total).to_obj()
+                    if got.related:
+                        assert verify_bisim(left, right, got.witness, kind) == []
+                    if outcomes is not None:
+                        outcomes.add(got.fail_reason.condition if got.fail_reason else kind)
+            for _ in range(relations):
+                relation = rng.sample(pairs, rng.randint(0, len(pairs)))
+                assert verify_bisim(left, right, relation, kind) == reference.verify_bisim(
+                    left, right, relation, kind)
 
 
 def test_engine_matches_name_based_reference():
     rng = random.Random(2024)
     outcomes = set()
-    for left, right in [hexagon_and_triangles(), *fuzzed_pairs(rng, 50)]:
-        pairs = [(w, w2) for w in left.worlds for w2 in right.worlds]
-        for kind in KINDS:
-            assert max_bisim(left, right, kind) == reference.max_bisim(left, right, kind)
-            for w, w2 in pairs:
-                p, q = PointedModel(left, w), PointedModel(right, w2)
-                for total in (False, True):
-                    got = pointed_bisim(p, q, kind, total).to_obj()
-                    assert got == reference.pointed_bisim(p, q, kind, total).to_obj()
-                    outcomes.add(got["fail_reason"]["condition"] if "fail_reason" in got else kind)
-            for _ in range(3):
-                relation = rng.sample(pairs, rng.randint(0, len(pairs)))
-                assert verify_bisim(left, right, relation, kind) == reference.verify_bisim(
-                    left, right, relation, kind)
+    for left, right in [cycle_and_triangles(6), *fuzzed_pairs(rng, 50)]:
+        assert_matches_reference(left, right, rng, outcomes)
     assert outcomes == {"Atoms", "Forth", "Back", "Reach"} | set(KINDS)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_engine_matches_reference_on_muddy_twins(n):
+    # The shape of the benchmark's twin queries, at sizes the reference
+    # can check at every point pair.
+    rng = random.Random(n)
+    model = muddy(n)
+    twins, _ = duplicate_worlds(rng, model, copies=2)
+    assert_matches_reference(model, twins, rng, relations=1)
+
+
+@pytest.mark.parametrize("n", [12, 18])
+def test_engine_matches_reference_on_cycles_against_triangles(n):
+    # Cycle worlds are alike up to rotation, so a sample of point pairs
+    # stands for all of them.
+    rng = random.Random(n)
+    left, right = cycle_and_triangles(n)
+    points = [(w, w2) for w in left.worlds[:4] for w2 in right.worlds[:4]]
+    assert_matches_reference(left, right, rng, relations=1, points=points)
+    result = pointed_bisim(PointedModel(left, left.worlds[0]),
+                           PointedModel(right, right.worlds[0]), "plusminus")
+    assert result.fail_reason.condition == "Reach"
+
+
+def test_engine_matches_reference_when_agent_sets_differ():
+    # An agent that one model lacks links nothing there: a move by it, or
+    # by a profile that holds it, has no target on that side.
+    rng = random.Random(5)
+    model = muddy(3)
+    twins, _ = duplicate_worlds(rng, model, copies=1)
+    dropped = KripkeModel(model.worlds, model.agents[1:], model.cells[1:], model.valuation)
+    added = KripkeModel(twins.worlds, twins.agents + ("z",), twins.cells + ((twins._full,),),
+                        twins.valuation)
+    outcomes = set()
+    for left, right in ((model, dropped), (dropped, twins), (twins, added), (added, dropped)):
+        assert_matches_reference(left, right, rng, outcomes, relations=2)
+    assert {"Forth", "Back"} <= outcomes
+    coll = pointed_bisim(PointedModel(model, "111"), PointedModel(dropped, "111"), "collective")
+    assert coll.fail_reason.to_obj() == {
+        "pair": ["111", "111"], "condition": "Forth", "detail": ["011", ("r",)]}
 
 
 def test_total_flag_detects_unmatched_world():

@@ -23,6 +23,7 @@ from glal.semantics import (
 )
 from glal.scenarios import at_least_one_muddy, bit_channel, muddy
 from glal.syntax import (
+    ANNOUNCE_OPS,
     EVERYONE,
     AnnGlobal,
     AnnLocal,
@@ -501,6 +502,50 @@ def test_announcements_with_equal_extensions_share_refinements(monkeypatch):
     built.clear()
     assert sat_set(m, parse("[!!p]-{a,b} K{a} q"), context=ctx) == first
     assert built == []
+
+
+def test_bodies_under_one_announcement_agree_with_uncached_evaluation():
+    # One announced formula and coalition carry several bodies, so the
+    # refinement plan made for the first body serves the others, in whole
+    # satisfaction sets and in pointed checks at every world.
+    rng = random.Random(22)
+    for _ in range(40):
+        agents = ["a", "b", "c"][: rng.randint(1, 3)]
+        m = random_model(rng, rng.randint(1, 6), agents, ["p", "q"])
+        psi = random_formula(rng, 3, ["p", "q"], agents)
+        bodies = [random_formula(rng, 3, ["p", "q"], agents) for _ in range(4)]
+        coalitions = [Coalition.of(), EVERYONE, random_coalition(rng, agents)]
+        formulas = [cls(psi, co, chi) for cls in ANNOUNCE_OPS for co in coalitions for chi in bodies]
+        expected = [UncachedContext().mask(m, f, m._full) for f in formulas]
+        whole = EvalContext()
+        assert [whole.mask(m, f, m._full) for f in formulas] == expected
+        pointed = EvalContext()
+        for i, w in enumerate(m.worlds):
+            got = [check(PointedModel(m, w), f, context=pointed) for f in formulas]
+            assert got == [bool(sat >> i & 1) for sat in expected]
+
+
+def test_announcement_groups_are_found_once_whatever_the_bodies(monkeypatch):
+    calls = []
+    groups = EvalContext._groups
+    monkeypatch.setattr(EvalContext, "_groups",
+                        lambda self, *args: calls.append(args) or groups(self, *args))
+    m = muddy(4)
+    psi = parse("m_r | m_g")
+    bodies = [parse(text) for text in (
+        "K{g} m_r", "C{r,g} m_b", "E{*} !m_c4", "D{r,b} m_g", "M{b} m_r", "m_r")]
+    for cls in ANNOUNCE_OPS:
+        for co in (Coalition.of(), Coalition.of("r", "g"), EVERYONE):
+            ctx = EvalContext()
+            for k, chi in enumerate(bodies):
+                for w in m.worlds:
+                    check(PointedModel(m, w), cls(psi, co, chi), context=ctx)
+                sat_set(m, cls(psi, co, chi), context=ctx)
+                if not k:
+                    first = list(calls)
+            # Once per (model, kind, positions, announced worlds asked for).
+            assert calls == first and len(set(calls)) == len(calls) > 1
+            calls.clear()
 
 
 def _random_need(rng, model):
