@@ -114,6 +114,10 @@ def _load_defs(path: str | None) -> dict:
             raise FormatError(f"alias name {name!r} is not an identifier")
     defs = {name: parse(body) for name, body in data.items()}
     for name, body in defs.items():
+        # An atom that names an alias is spelled out in the body's text, so
+        # only a body that contains an alias name needs its atoms walked.
+        if not any(map(data[name].__contains__, data)):
+            continue
         inside = atoms(body) & set(defs)
         if inside:
             raise FormatError(

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 from . import syntax as sx
 from .errors import EmptyResult
-from .model import KripkeModel, PointedModel, coalition_names, iter_bits, lowest_bit
+from .model import KripkeModel, PointedModel, coalition_names, in_world_order, iter_bits
 
 
 @dataclass(frozen=True)
@@ -533,17 +533,20 @@ def _split_model(model: KripkeModel, splits, psi: int) -> KripkeModel:
         inside = scope & psi
         if not inside or inside == scope:
             continue  # no cell inside the scope is split
-        parts = []
+        kept, moved = [], []
         for cell in cells[k]:
             if cell & scope:
                 inside = cell & psi
                 if inside and inside != cell:
-                    parts.append(inside)
-                    parts.append(cell ^ inside)
+                    # The part that holds the cell's lowest world (the bit
+                    # ``-cell`` shares with ``cell``) keeps the cell's place.
+                    stay = inside if inside & -cell else cell ^ inside
+                    kept.append(stay)
+                    moved.append(cell ^ stay)
                     continue
-            parts.append(cell)
-        if len(parts) != len(cells[k]):
-            cells[k] = tuple(sorted(parts, key=lowest_bit))
+            kept.append(cell)
+        if moved:
+            cells[k] = in_world_order(kept, moved)
             changed = True
     if not changed:
         return model
@@ -552,8 +555,8 @@ def _split_model(model: KripkeModel, splits, psi: int) -> KripkeModel:
 
 def _restrict_model(model: KripkeModel, keep: int) -> KripkeModel:
     """Submodel on the kept worlds (relations and valuation restricted)."""
-    kept = list(iter_bits(keep))
-    moved = {1 << i: 1 << j for j, i in enumerate(kept)}
+    indices = list(iter_bits(keep))
+    renumbered = {1 << i: 1 << j for j, i in enumerate(indices)}
 
     def squeeze(mask: int) -> int:
         """``mask & keep`` renumbered over the kept worlds."""
@@ -561,15 +564,21 @@ def _restrict_model(model: KripkeModel, keep: int) -> KripkeModel:
         out = 0
         while mask:
             low = mask & -mask
-            out |= moved[low]
+            out |= renumbered[low]
             mask ^= low
         return out
 
-    cells = tuple(
-        tuple(sorted((squeeze(cell) for cell in part if cell & keep), key=lowest_bit))
-        for part in model.cells
-    )
-    worlds = tuple(model.worlds[i] for i in kept)
+    cells = []
+    for part in model.cells:
+        kept, moved = [], []
+        for cell in part:
+            if cell & -cell & keep:  # the cell's lowest world stays: so does its place
+                kept.append(squeeze(cell))
+            elif cell & keep:
+                moved.append(squeeze(cell))
+        cells.append(in_world_order(kept, moved))
+    cells = tuple(cells)
+    worlds = tuple(model.worlds[i] for i in indices)
     valuation = tuple((atom, squeeze(mask)) for atom, mask in model.valuation)
     return KripkeModel._canonical(worlds, model.agents, cells, valuation)
 

@@ -73,6 +73,19 @@ def test_recursive_defs_rejected(capsys, muddy3, tmp_path):
     assert "one pass" in err
 
 
+def test_alias_check_reads_atoms_not_text(capsys, muddy3, tmp_path):
+    # An agent spelled like an alias is no mention of it; a body that mentions
+    # two aliases names the alphabetically first.
+    defs = tmp_path / "defs.json"
+    defs.write_text(json.dumps({"a": "K{b} c", "b": "c"}))
+    code, out, _ = run(capsys, "check", f"{muddy3}:100", "true", "--defs", str(defs))
+    assert code == 0 and json.loads(out) == {"result": True}
+    defs.write_text(json.dumps({"a": "bb & b", "b": "p", "bb": "q"}))
+    code, out, err = run(capsys, "check", f"{muddy3}:100", "true", "--defs", str(defs))
+    assert code == 66 and out == ""
+    assert "alias 'a' mentions alias 'b'; aliases must expand in one pass" in err
+
+
 def test_defs_names_must_be_identifiers(capsys, muddy3, tmp_path):
     # An alias named "true" would never replace the constant, and "a b" never
     # lexes as one identifier: both are rejected rather than ignored.

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from glal.errors import FormatError, InvalidModel, UnknownWorld
-from glal.fuzz import random_model
+from glal.fuzz import duplicate_worlds, random_model
 from glal.model import KripkeModel, PointedModel, load, save, validate
 from glal.scenarios import bit_channel, muddy
 from model_checks import (
@@ -20,6 +20,8 @@ from model_checks import (
     closure_of,
     pairs_of,
     profile,
+    reference_from_partitions,
+    reference_load,
 )
 
 
@@ -291,3 +293,245 @@ def test_save_is_deterministic():
     m1 = KripkeModel.from_partitions(["b", "a"], ["y", "x"], {}, {"p": ["b", "a"]})
     m2 = KripkeModel.from_partitions(["a", "b"], ["x", "y"], {}, {"p": ["a", "b"]})
     assert save(m1) == save(m2)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass loader against the name-by-name reference loader
+# ---------------------------------------------------------------------------
+
+
+def load_outcome(loader, text):
+    """The model ``loader`` builds from ``text`` with its hash, or the class,
+    message and violations of the error it raises."""
+    try:
+        model = loader(text)
+    except Exception as exc:  # the class must match, whatever it is
+        return type(exc), str(exc), getattr(exc, "violations", None)
+    return model, hash(model)
+
+
+def assert_loads_like_reference(text):
+    outcome = load_outcome(load, text)
+    assert outcome == load_outcome(reference_load, text), text
+    return outcome
+
+
+def _partitions(obj):
+    return [spec["partition"] for spec in obj["relations"].values() if "partition" in spec]
+
+
+def _reverse_cells(rng, obj):
+    for part in _partitions(obj):
+        part.reverse()
+        for cell in part:
+            cell.reverse()
+
+
+def _shuffle_names(rng, obj):
+    for part in _partitions(obj):
+        for cell in part:
+            rng.shuffle(cell)
+
+
+def _shuffle_worlds(rng, obj):
+    rng.shuffle(obj["worlds"])
+
+
+def _reorder_agents(rng, obj):
+    rng.shuffle(obj["agents"])
+    items = list(obj["relations"].items())
+    rng.shuffle(items)
+    obj["relations"] = dict(items)
+
+
+def _empty_cells(rng, obj):
+    for part in _partitions(obj):
+        part.insert(rng.randint(0, len(part)), [])
+
+
+def _repeat_valuation_names(rng, obj):
+    for names in obj["valuation"].values():
+        names.extend(rng.sample(names, rng.randint(0, len(names))))
+
+
+def _pairs_form(rng, obj):
+    agent = rng.choice(obj["agents"])
+    part = obj["relations"][agent]["partition"]
+    obj["relations"][agent] = {"pairs": [[u, v] for cell in part for u in cell for v in cell
+                                         if u < v or rng.random() < 0.2]}
+
+
+def _omit_relations(rng, obj):
+    for agent in rng.sample(obj["agents"], rng.randint(1, len(obj["agents"]))):
+        del obj["relations"][agent]
+
+
+# Rewritings that keep the file's meaning; omitting relations changes it.
+SAME_MODEL = (_reverse_cells, _shuffle_names, _shuffle_worlds, _reorder_agents, _empty_cells,
+              _repeat_valuation_names, _pairs_form)
+
+
+def rewritten(rng, model):
+    """``model`` saved, then written back each way a hand-made file may
+    differ from a saved one, and every way at once: (text, same model) pairs."""
+    base = json.loads(save(model))
+    out = []
+    for edits in [(edit,) for edit in SAME_MODEL + (_omit_relations,)] + [SAME_MODEL]:
+        obj = copy.deepcopy(base)
+        for edit in edits:
+            if obj["agents"] or edit not in (_pairs_form, _omit_relations):
+                edit(rng, obj)
+        out.append((json.dumps(obj), _omit_relations not in edits))
+    return out
+
+
+def loader_corpus(seed):
+    rng = random.Random(seed)
+    models = [muddy(n) for n in range(1, 8)] + [bit_channel("N"), bit_channel("Nprime")]
+    for _ in range(40):
+        agents = ["a", "b", "c"][: rng.randint(0, 3)]
+        m = random_model(rng, rng.randint(1, 6), agents, ["p", "q"][: rng.randint(0, 2)])
+        models.append(m)
+        if agents:
+            models.append(duplicate_worlds(rng, m, copies=rng.randint(1, 3))[0])
+    return rng, models
+
+
+def test_load_matches_reference_on_rewritten_files():
+    rng, models = loader_corpus(31)
+    for m in models:
+        for text, same in rewritten(rng, m):
+            back, back_hash = assert_loads_like_reference(text)
+            assert_canonical(back)
+            if same:
+                assert back == m and back_hash == hash(m)
+
+
+MALFORMED = [
+    "not json",
+    "[1, 2]",
+    json.dumps({"worlds": ["w"]}),
+    json.dumps({"agents": ["a"]}),
+    json.dumps({"worlds": 5}),
+    json.dumps({"worlds": ["w"], "agents": ["a"],
+                "relations": {"b": {"partition": [["w"]]}}, "valuation": {}}),
+    json.dumps({"worlds": ["w"], "agents": ["a"], "relations": {}, "valuation": {"p": ["nope"]}}),
+    json.dumps({"worlds": "ab", "agents": [], "valuation": {}}),
+    json.dumps({"worlds": ["a", 1], "agents": [], "valuation": {}}),
+    json.dumps({"worlds": ["a"], "agents": "x", "valuation": {}}),
+    json.dumps({"worlds": ["a", "b"], "agents": [], "valuation": {"p": "a"}}),
+    json.dumps({"worlds": ["a"], "agents": ["x"], "relations": [], "valuation": {}}),
+    json.dumps({"worlds": ["a", "b"], "agents": ["x"],
+                "relations": {"x": {"partition": ["ab"]}}, "valuation": {}}),
+    json.dumps({"worlds": ["a", "b"], "agents": ["x"],
+                "relations": {"x": {"partition": "ab"}}, "valuation": {}}),
+    json.dumps({"worlds": ["a", "b"], "agents": ["x"],
+                "relations": {"x": {"pairs": ["ab"]}}, "valuation": {}}),
+    json.dumps({"worlds": ["a", "b"], "agents": ["x"],
+                "relations": {"x": {"pairs": [["a", "b", "a"]]}}, "valuation": {}}),
+    json.dumps({"worlds": ["w1", "w2"], "agents": ["a"],
+                "relations": {"a": {"partition": [["w1", "w2"], ["w2"]]}}, "valuation": {}}),
+    json.dumps({"worlds": ["w1", "w2", "w3"], "agents": ["a"],
+                "relations": {"a": {"pairs": [["w1", "w2"], ["w2", "w3"]]}}, "valuation": {}}),
+    json.dumps({"worlds": ["a", "a"], "agents": ["x"]}),
+    json.dumps({"worlds": ["a"], "agents": ["x", "x"]}),
+    json.dumps({"worlds": ["a"], "agents": ["x"], "valuation": []}),
+    json.dumps({"worlds": ["a"], "agents": ["x"], "relations": {"x": {}}}),
+    json.dumps({"worlds": ["a"], "agents": ["x"], "relations": {"x": {"partition": [["a"]],
+                                                                       "pairs": []}}}),
+    json.dumps({"worlds": ["a"], "agents": ["x"], "relations": {"x": {"cells": [["a"]]}}}),
+    json.dumps({"worlds": ["a"], "agents": ["x"], "relations": {"x": {"pairs": [["a", "zz"]]}}}),
+    # Two faults: a repeated name and an unknown world in one cell, either
+    # first; two agents with faults, reported in the order of "agents".
+    json.dumps({"worlds": ["a", "b"], "agents": ["x"],
+                "relations": {"x": {"partition": [["a", "a", "zz"]]}}}),
+    json.dumps({"worlds": ["a", "b"], "agents": ["x"],
+                "relations": {"x": {"partition": [["zz", "a", "a"]]}}}),
+    json.dumps({"worlds": ["a", "b"], "agents": ["y", "x"],
+                "relations": {"x": {"partition": [["zz"]]}, "y": {"partition": [["b"], ["b"]]}}}),
+    # A type error outranks any name: a non-string valuation entry beside an
+    # unknown partition world, a non-string cell entry beside a repeat.
+    json.dumps({"worlds": ["a", "b"], "agents": ["x"],
+                "relations": {"x": {"partition": [["zz"]]}}, "valuation": {"p": ["a", 3]}}),
+    json.dumps({"worlds": ["a", "b"], "agents": ["x"],
+                "relations": {"x": {"partition": [["a", "a"], [None]]}}}),
+    # Unknown worlds in partition and valuation; several in one valuation.
+    json.dumps({"worlds": ["a"], "agents": ["x"], "relations": {"x": {"partition": [["q"]]}},
+                "valuation": {"p": ["zz"]}}),
+    json.dumps({"worlds": ["a"], "agents": [], "valuation": {"p": ["zz", "a", "b", "zz"]}}),
+]
+
+
+def test_load_errors_match_reference():
+    for text in MALFORMED:
+        outcome = assert_loads_like_reference(text)
+        assert outcome[0] in (FormatError, InvalidModel), text
+
+
+def _break(rng, obj):
+    """Apply one random fault to a model object."""
+    parts = _partitions(obj)
+    cells = [cell for part in parts for cell in part if isinstance(cell, list)]
+    fault = rng.randrange(12)
+    if fault == 0 and cells:
+        rng.choice(cells).insert(rng.randint(0, 1), "zz")
+    elif fault == 1 and cells:
+        cell = rng.choice(cells)
+        cell.insert(rng.randint(0, len(cell)), rng.choice(obj["worlds"]))
+    elif fault == 2 and cells:
+        rng.choice(cells).append(rng.choice([1, None, ["a"], 2.5]))
+    elif fault == 3 and parts:
+        rng.choice(parts).append(rng.choice(["ab", 3, {"a": 1}]))
+    elif fault == 4 and obj["valuation"]:
+        rng.choice(list(obj["valuation"].values())).append(rng.choice(["zz", "yy", 7]))
+    elif fault == 5:
+        obj["worlds"].append(rng.choice(obj["worlds"] + ["zz"]))
+    elif fault == 6:
+        obj["agents"].append(rng.choice(obj["agents"] + ["zz"]))
+    elif fault == 7:
+        obj["relations"]["zz"] = {"partition": []}
+    elif fault == 8 and obj["agents"]:
+        agent = rng.choice(obj["agents"])
+        obj["relations"][agent] = {"pairs": [[rng.choice(obj["worlds"] + ["zz"])
+                                              for _ in range(rng.choice([1, 2, 2, 3]))]]}
+    elif fault == 9:
+        del obj[rng.choice(["worlds", "agents", "relations", "valuation"])]
+    elif fault == 10:
+        obj[rng.choice(["relations", "valuation"])] = rng.choice([[], "x", None])
+    elif fault == 11 and len(cells) > 1:
+        a, b = rng.sample(cells, 2)
+        if a:
+            b.append(rng.choice(a))
+
+
+def test_load_errors_match_reference_on_broken_files():
+    rng, models = loader_corpus(37)
+    for m in models:
+        for _ in range(20):
+            obj = json.loads(save(m))
+            for _ in range(rng.randint(1, 3)):
+                if not isinstance(obj.get("relations"), dict) or not isinstance(
+                        obj.get("valuation"), dict) or "worlds" not in obj or "agents" not in obj:
+                    break
+                _break(rng, obj)
+            assert_loads_like_reference(json.dumps(obj))
+
+
+def test_from_partitions_matches_reference():
+    rng = random.Random(41)
+    for _ in range(200):
+        worlds = [f"u{i}" for i in range(rng.randint(0, 6))]
+        names = worlds + ["zz"] * rng.randint(0, 1)
+        agents = ["a", "b", "c"][: rng.randint(0, 3)] + ["a"] * (rng.random() < 0.1)
+        partitions = {a: [rng.sample(names, rng.randint(0, min(3, len(names))))
+                          for _ in range(rng.randint(0, 4))] for a in agents}
+        valuation = {p: rng.sample(names, rng.randint(0, len(names))) for p in ("p", "q")}
+        worlds += worlds[:1] * (rng.random() < 0.1)
+        outcomes = []
+        for build in (KripkeModel.from_partitions, reference_from_partitions):
+            try:
+                model = build(worlds, agents, partitions, valuation)
+                outcomes.append((model, hash(model)))
+            except FormatError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]

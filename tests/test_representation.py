@@ -12,7 +12,7 @@ import pytest
 
 from glal.errors import FormatError, InvalidModel
 from glal.fuzz import duplicate_worlds, random_coalition, random_formula, random_model
-from glal.model import KripkeModel, load, save
+from glal.model import KripkeModel, in_world_order, load, lowest_bit, save
 from glal.sat import SatQuery, sat_bounded
 from glal.semantics import (
     EvalContext,
@@ -97,6 +97,47 @@ def test_restrict_matches_pair_oracle():
         assert restricted.worlds == worlds
         assert pairs_of(restricted) == relations
         assert valuation_names(restricted) == valuation
+
+
+def test_in_world_order_places_moved_masks():
+    rng = random.Random(105)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        part = sorted(_random_cells(rng, n), key=lowest_bit)
+        moved = rng.sample(part, rng.randint(0, min(len(part), rng.choice([1, 3, len(part)]))))
+        kept = [cell for cell in part if cell not in moved]
+        rng.shuffle(moved)
+        assert in_world_order(kept, moved) == tuple(part)
+
+
+def _random_cells(rng, n):
+    """The cells of a random partition of ``n`` worlds, as masks."""
+    cells = {}
+    for i in range(n):
+        cells.setdefault(rng.randrange(n), []).append(i)
+    return [sum(1 << i for i in c) for c in cells.values()]
+
+
+def test_few_cells_split_in_large_models():
+    # A split or restriction that moves a few cells of many places each one
+    # by itself; the small fuzzed models above always sort.
+    rng = random.Random(106)
+    for _ in range(40):
+        n = rng.randint(12, 40)
+        agents = ["a", "b", "c"][: rng.randint(1, 3)]
+        worlds = [f"u{i:02}" for i in range(n)]
+        cells = [_random_cells(rng, n) for _ in agents]
+        m = KripkeModel(tuple(worlds), tuple(agents), tuple(map(tuple, cells)), {"p": 0})
+        psi = rng.choice(cells[0][:4])
+        psi ^= 1 << rng.randrange(n)
+        splits = {a: m._full for a in agents}
+        refined = _split_model(m, [(m.agents.index(a), s) for a, s in splits.items()], psi)
+        assert_canonical(refined)
+        assert pairs_of(refined) == naive_split(m, splits, psi)
+        keep = m._full & ~rng.choice(cells[-1]) | 1
+        restricted = _restrict_model(m, keep)
+        assert_canonical(restricted)
+        assert (restricted.worlds, pairs_of(restricted)) == naive_restrict(m, keep)[:2]
 
 
 def test_every_constructed_model_is_canonical():
