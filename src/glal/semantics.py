@@ -11,7 +11,7 @@ query (``check``, ``check_traced``) evaluates along the point's tree of
 refined models, which is local model checking; ``sat_set`` and the other
 whole-model callers pass every world.
 
-Announcement clauses refine the model per group of announced worlds, and
+Announcement clauses sort the announced worlds into groups, and
 ``EvalContext._groups`` alone decides what each group splits: one (agent
 position, scope mask) pair per coalition member, the scope being the
 member's class (local), the members' closure class (global) or the
@@ -23,6 +23,23 @@ asked for, and its refined models on those and the announced mask inside
 the groups' scopes, never on the body: the groups are memoized per frame
 and the merged (refined model, worlds) plan per model, so ``[psi]co chi``
 costs one body evaluation per refined model for every further ``chi``.
+
+An announcement refines once per layer of groups, not once per group.
+Every scope a refinement splits at a world lies inside the world's
+all-agents component, so groups in different components split disjoint
+cells, and truth at a world depends only on the submodel the world
+generates (Blackburn, de Rijke & Venema, *Modal Logic*, 2001, §2.1).
+Layer r gathers the r-th group of each component: its refined model
+splits all their scopes at once, and each of its worlds sees its own
+component exactly as its group's refined model does.  On a model of many
+components, such as the disjoint union the distinguishing search
+evaluates on, that is one refined model per group of the busiest
+component instead of one per group.  ``_groups`` itself keeps one
+refinement per group, and so do its callers that refine at one world:
+``_step`` (``glal tree``), the ``refine_*`` functions and the probes of
+``bisim._refinement_probes``.  A pointed query at a world has one group,
+a layer of its own.
+
 Coalitions, and the agent of each ``K``, ``Kw`` and ``M`` node, resolve to
 agent positions once per agent tuple.
 
@@ -119,9 +136,9 @@ class EvalContext:
         #   (kind, positions, hold, psi)
         #                             -> plan of a kind announcement to the
         #                                agent positions, asked for on the
-        #                                announced worlds hold, whose groups
+        #                                announced worlds hold, whose layers
         #                                are two or more, announcing psi (cut
-        #                                to the groups' scopes): ((refined
+        #                                to the layers' scopes): ((refined
         #                                model, worlds), ...), one entry per
         #                                distinct refined model
         #   None                      -> the memo of the model's frame
@@ -132,8 +149,9 @@ class EvalContext:
         #                                index, the mask of that world's class
         #   (agent position, ...)     -> component decomposition
         #   (psi, ((k, scope), ...))  -> the cells of the split above
-        #   (kind, positions, hold)   -> (the groups _groups makes of hold,
-        #                                the union of their scopes)
+        #   (kind, positions, hold)   -> (the layers _layers makes of the
+        #                                groups _groups makes of hold, the
+        #                                union of their scopes)
         self._frames: dict = {}
         # (agent tuple, coalition) -> the coalition's sorted agent positions
         self._coalitions: dict = {}
@@ -291,12 +309,14 @@ class EvalContext:
 
     def _announce(self, model, f, need):
         """A local or global announcement, box or diamond.  The worlds of
-        ``need`` where the announced formula holds are refined once per
-        group of worlds that split the same classes, and the body is asked
-        for once per refined model, on the worlds refined to it.  The
-        groups are memoized in the frame memo, and the plan of refined
-        models of two or more groups in the model's memo; one group's
-        refined model is memoized by ``refined`` itself."""
+        ``need`` where the announced formula holds fall into groups of
+        worlds that split the same classes (``_groups``), and those into
+        layers, one group per all-agents component (``_layers``).  Each
+        layer is refined once, and the body is asked for once per refined
+        model, on the worlds refined to it.  The layers are memoized in
+        the frame memo, and the plan of refined models of two or more
+        layers in the model's memo; one layer's refined model is memoized
+        by ``refined`` itself."""
         kind, box = _ANNOUNCE_KINDS[type(f)]
         full = model._full
         psi = self.mask(model, f.announced, need)
@@ -309,33 +329,61 @@ class EvalContext:
         key = (kind, members, hold)
         entry = frame.get(key)
         if entry is None:
-            groups = self._groups(model, kind, members, hold)
+            layers = self._groups(model, kind, members, hold)
+            if len(layers) > 1:
+                layers = self._layers(model, layers)
             span = 0
-            for splits, _ in groups:
+            for splits, _ in layers:
                 span |= _span(splits)
-            entry = frame[key] = (tuple(groups), span)
-        groups, span = entry
+            entry = frame[key] = (tuple(layers), span)
+        layers, span = entry
         if need != full:
             # Each refinement reads the announced set on the classes it splits.
             psi = self.mask(model, f.announced, need | span)
-        if len(groups) == 1:
-            splits, worlds = groups[0]
+        if len(layers) == 1:
+            splits, worlds = layers[0]
             return out | self.mask(self.refined(model, splits, psi), f.sub, worlds) & worlds
         psi &= span
-        plan = self._memoized(model, key + (psi,), lambda: self._plan(model, groups, psi))
+        plan = self._memoized(model, key + (psi,), lambda: self._plan(model, layers, psi))
         for refined, worlds in plan:
             out |= self.mask(refined, f.sub, worlds) & worlds
         return out
 
-    def _plan(self, model, groups, psi) -> tuple:
-        """The refined models of ``groups`` by the announced mask ``psi``,
-        each with the union of the worlds of the groups refined to it."""
+    def _plan(self, model, layers, psi) -> tuple:
+        """The refined models of ``layers`` by the announced mask ``psi``,
+        each with the union of the worlds of the layers refined to it.
+        Layers that split no cell differently share their refined model."""
         asked = {}  # id(refined model) -> (refined model, worlds refined to it)
-        for splits, worlds in groups:
+        for splits, worlds in layers:
             refined = self.refined(model, splits, psi)
             seen = asked.get(id(refined))
             asked[id(refined)] = (refined, worlds if seen is None else seen[1] | worlds)
         return tuple(asked.values())
+
+    def _layers(self, model, groups) -> list:
+        """``groups`` regrouped as (splits, worlds) layers: layer r holds the
+        r-th group of each all-agents component, splits the union of those
+        groups' scopes for each agent position, and gathers their worlds.
+        With one component, each group is a layer of its own."""
+        comps = self._components(model, tuple(range(len(model.agents))))
+        if len(comps) == 1:
+            return groups
+        layers = []  # [scope per member, worlds] per layer
+        depth = dict.fromkeys(comps, 0)  # component -> its groups layered so far
+        for splits, worlds in groups:
+            for comp in comps:
+                if comp & worlds:
+                    break
+            r = depth[comp]
+            depth[comp] = r + 1
+            if r == len(layers):
+                layers.append([[0] * len(splits), 0])
+            scopes, _ = layer = layers[r]
+            for j, (_, scope) in enumerate(splits):
+                scopes[j] |= scope
+            layer[1] |= worlds
+        members = [k for k, _ in groups[0][0]]
+        return [(tuple(zip(members, scopes)), worlds) for scopes, worlds in layers]
 
     def _groups(self, model, kind, members, hold) -> list:
         """The worlds of ``hold`` as (splits, worlds) pairs by lowest world:

@@ -34,10 +34,15 @@ hash-consed: structurally equal formulas are one object, so ``==`` and
 ``hash`` are identity and cost O(1), which keeps formula-keyed memos
 cheap.  Nodes are built only through their constructors (directly or via
 ``dataclasses.replace``, ``pickle`` or ``copy``), which return the
-interned node.  The node classes are declared with ``_node``, so
-``dataclass`` generates none of their methods: construction, frozenness
-(``__setattr__`` and ``__delattr__`` raise ``FrozenInstanceError``) and
-``repr`` live once on ``Formula``, which keeps importing this module cheap.
+interned node.  The node table, ``_NODES``, is a plain dict from a node's
+class and field values to a weak reference to the node: a constructor
+looks its key up without a lock and takes ``_NODES_LOCK`` only to publish
+a new node, and a node's reference drops its entry once the node is dead,
+so the table holds only formulas in use.  The node classes are declared
+with ``_node``, so ``dataclass`` generates none of their methods:
+construction, frozenness (``__setattr__`` and ``__delattr__`` raise
+``FrozenInstanceError``) and ``repr`` live once on ``Formula``, which keeps
+importing this module cheap.
 A new node also stores its depth, which is not a field, so ``depth`` costs
 O(1).  A node class needs a docstring, or ``dataclass`` computes one from
 ``inspect.signature``, which costs more than the rest of the class.  A new
@@ -55,6 +60,7 @@ from __future__ import annotations
 import re
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import FrozenInstanceError, dataclass, fields, replace
 
 from .errors import FormulaSyntaxError, NotPalFragment, UnknownOperator
@@ -115,7 +121,8 @@ class Formula:
             raise TypeError(f"{cls.__name__}() takes the fields ({', '.join(names)})")
         # Subformulas in the key are nodes already, so they hash by identity.
         key = (cls, *args)
-        node = _NODES.get(key)
+        ref = _NODES.get(key)
+        node = None if ref is None else ref()
         if node is None:
             node = super().__new__(cls)
             values = node.__dict__
@@ -129,7 +136,14 @@ class Formula:
                     deepest = sub._depth
             values["_depth"] = deepest + 1
             with _NODES_LOCK:  # publish only a complete node, and only one per key
-                node = _NODES.setdefault(key, node)
+                ref = _NODES.get(key)
+                live = None if ref is None else ref()
+                if live is None:
+                    ref = _Entry(node, _drop)
+                    ref.key = key
+                    _NODES[key] = ref
+                else:
+                    node = live
         return node
 
     def __setattr__(self, name, value):
@@ -152,10 +166,26 @@ class Formula:
         return print_formula(self)
 
 
-# (class, *field values) -> the live node with those fields.  Entries go when
-# their node is no longer referenced, so the table holds only formulas in use.
-_NODES = weakref.WeakValueDictionary()
+# (class, *field values) -> a weak reference to the live node with those
+# fields.  Lookups take no lock; publishing a node takes _NODES_LOCK.  When
+# a node is no longer referenced, its reference's callback drops the entry,
+# but only while the entry still holds a dead reference: a node published
+# for the key since then stays.  So the table holds only formulas in use.
+_NODES: dict = {}
 _NODES_LOCK = threading.Lock()
+
+
+class _Entry(weakref.ref):
+    """A weak reference to a node, carrying the node's key in ``_NODES``."""
+
+    __slots__ = ("key",)
+
+
+def _drop(ref, _nodes=_NODES, _remove=_remove_dead_weakref):
+    """``ref``'s callback: drops its entry if that still holds a dead
+    reference.  It takes no lock, as it can run inside the locked section."""
+    _remove(_nodes, ref.key)
+
 
 # Declares a node class: a dataclass (so ``fields`` and ``replace`` work) for
 # which ``dataclass`` generates no methods, since ``Formula`` supplies them.

@@ -11,7 +11,9 @@ refinements coincide across worlds with equal scope signatures.
 import random
 
 from glal import syntax as sx
+from glal.bisim import _disjoint_union
 from glal.fuzz import random_formula, random_model
+from glal.model import KripkeModel
 from glal.semantics import EvalContext, sat_set
 from model_checks import class_names
 from uncached_context import UncachedContext
@@ -210,3 +212,103 @@ def test_partial_need_matches_reference_where_local_and_global_differ():
             assert got == UncachedContext().mask(model, f, model._full) & need
             assert model.world_names(got) == ref_sat(plain, f) & model.world_names(need), (
                 sx.print_formula(f))
+
+
+# An announcement refines once per layer of groups, layer r holding the r-th
+# group of each all-agents component (EvalContext._layers); two groups of
+# one component must never share a layer.  In JOINED the {a,b}-components
+# {x0,x1} and {y0,y1} are two groups of a global {a,b} announcement, joined
+# into one all-agents component by agent c, and the bodies below read one
+# of them through c from the other.  UncachedContext refines by the same
+# layers, so it is no oracle for them; the naive ref_sat and evaluation of
+# each block on its own are.
+JOINED = KripkeModel.from_partitions(
+    ["x0", "x1", "y0", "y1"], ["a", "b", "c"],
+    {"a": [["x0", "x1"]], "b": [["y0", "y1"]], "c": [["x1", "y0"]]},
+    {"p": ["x0", "y0"], "q": ["x1", "y1"]})
+LAYER_ANNOUNCED = ["p", "!q", "p | q", "K{c} p", "M{a} q"]
+LAYER_BODIES = ["M{c} K{b} q", "K{c} K{a} p", "M{c} C{a,b} q", "K{c} E{a,b} !p",
+                "C{*} (p | q)", "M{c} D{a,b} p", "K{a} M{c} K{b} !q"]
+LAYER_COALITIONS = [sx.Coalition.of("a", "b"), sx.EVERYONE, sx.Coalition.of("a", "c"),
+                    sx.Coalition.of("b"), sx.Coalition.of()]
+
+
+def _layer_corpus(rng, trials):
+    """(blocks, their disjoint union, formulas): JOINED beside random models,
+    under local and global announcements, boxes and diamonds."""
+    for _ in range(trials):
+        blocks = [JOINED] + [random_model(rng, rng.randint(1, 4), ["a", "b", "c"], ["p", "q"])
+                             for _ in range(rng.randint(1, 3))]
+        rng.shuffle(blocks)
+        formulas = []
+        for _ in range(8):
+            psi = sx.parse(rng.choice(LAYER_ANNOUNCED))
+            chi = rng.choice([sx.parse(rng.choice(LAYER_BODIES)),
+                              random_formula(rng, 3, ["p", "q"], ["a", "b", "c"])])
+            cls = rng.choice(sx.ANNOUNCE_OPS)
+            formulas.append(cls(psi, rng.choice(LAYER_COALITIONS), chi))
+        yield blocks, _disjoint_union(blocks), formulas
+
+
+def test_layered_announcements_match_reference_and_each_block():
+    rng = random.Random(2424)
+    for blocks, union, formulas in _layer_corpus(rng, 40):
+        plain = to_plain(union)
+        ctx = EvalContext()
+        for f in formulas:
+            expected = ref_sat(plain, f)
+            assert sat_set(union, f, context=ctx) == expected, sx.print_formula(f)
+            for k, block in enumerate(blocks):
+                prefix = f"{k}."
+                alone = {prefix + w for w in sat_set(block, f)}
+                assert alone == {w for w in expected if w.startswith(prefix)}, sx.print_formula(f)
+
+
+def test_layered_announcements_match_reference_on_partial_need():
+    # need masks of at least two worlds and not all of them, asked of a
+    # fresh context, so that the announcement reads only some groups.
+    rng = random.Random(2525)
+    for _, union, formulas in _layer_corpus(rng, 40):
+        plain = to_plain(union)
+        for f in formulas:
+            need = 0
+            while bin(need).count("1") < 2 or need == union._full:
+                need = rng.randint(1, union._full)
+            got = EvalContext().mask(union, f, need) & need
+            assert union.world_names(got) == ref_sat(plain, f) & union.world_names(need), (
+                sx.print_formula(f))
+
+
+def test_each_layer_refines_each_component_as_its_group_does():
+    # Local, global and semi-private groups alike: the layers partition the
+    # groups with at most one group of an all-agents component per layer,
+    # and a layer's refined model agrees with each of its groups' refined
+    # models on every cell of that group's component.
+    rng = random.Random(2626)
+    for _, union, _ in _layer_corpus(rng, 30):
+        ctx = EvalContext()
+        union = ctx.intern(union)
+        everyone = tuple(range(len(union.agents)))
+        comps = union.components(everyone)
+        for kind in ("local", "global", "semiprivate"):
+            for members in ((0, 1), everyone, (2,)):
+                hold = rng.randint(1, union._full)
+                groups = ctx._groups(union, kind, members, hold)
+                layers = ctx._layers(union, groups) if len(groups) > 1 else groups
+                per_comp = [sum(1 for _, worlds in groups if worlds & comp) for comp in comps]
+                assert len(layers) == max(per_comp)
+                psi = rng.randint(0, union._full)
+                placed = 0
+                for splits, worlds in layers:
+                    refined = ctx.refined(union, splits, psi)
+                    inside = [(g, w) for g, w in groups if w & worlds]
+                    assert sum(w for _, w in inside) == worlds
+                    for group, group_worlds in inside:
+                        comp = next(c for c in comps if c & group_worlds)
+                        assert not worlds & comp & ~group_worlds, (kind, members)
+                        alone = ctx.refined(union, group, psi)
+                        for k in everyone:
+                            assert ([c for c in refined.cells[k] if c & comp]
+                                    == [c for c in alone.cells[k] if c & comp]), (kind, members)
+                    placed += len(inside)
+                assert placed == len(groups)

@@ -37,6 +37,7 @@ from glal.syntax import (
     TOP,
     expand_derived,
     parse,
+    print_formula,
 )
 from model_checks import assert_canonical, assert_refines, class_of
 from uncached_context import UncachedContext
@@ -502,6 +503,44 @@ def test_announcements_with_equal_extensions_share_refinements(monkeypatch):
     built.clear()
     assert sat_set(m, parse("[!!p]-{a,b} K{a} q"), context=ctx) == first
     assert built == []
+
+
+def test_announcement_on_copies_refines_once_per_layer(monkeypatch):
+    # Each copy of muddy(3) is an all-agents component, and the r-th group
+    # of every copy shares one refined model: k copies take as many
+    # refinements as one.
+    from glal import semantics
+    from glal.bisim import _disjoint_union
+
+    built = []
+    split = semantics._split_model
+    monkeypatch.setattr(semantics, "_split_model", lambda *a: built.append(a) or split(*a))
+    m = muddy(3)
+    f = parse("[m_r | m_g]-{r,g,b} (K{r} m_r | M{g} !m_b)")
+    one = sat_set(m, f)
+    groups = len(built)
+    assert groups > 1
+    for k in (2, 3, 5):
+        built.clear()
+        assert sat_set(_disjoint_union([m] * k), f) == {
+            f"{i}.{w}" for i in range(k) for w in one}
+        assert len(built) == groups, k
+
+
+def test_channel_search_builds_few_refined_models(monkeypatch):
+    # 417 refined unions when each group of announced worlds was refined on
+    # its own; refining a layer of groups at once leaves 113.
+    from glal import semantics
+    from glal.bisim import distinguishing_formula_search
+
+    built = []
+    split = semantics._split_model
+    monkeypatch.setattr(semantics, "_split_model", lambda *a: built.append(a) or split(*a))
+    p = PointedModel(bit_channel("N"), "w1")
+    q = PointedModel(bit_channel("Nprime"), "w1")
+    f = distinguishing_formula_search(p, q, 4)
+    assert print_formula(f) == "[bit0]-{e,r} (C{e,r} (bit0))"
+    assert len(built) <= 150
 
 
 def test_bodies_under_one_announcement_agree_with_uncached_evaluation():

@@ -4,6 +4,8 @@ import gc
 import hashlib
 import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -471,3 +473,68 @@ def test_node_table_holds_only_live_formulas():
         random_formula(rng, 5, ["p", "q", "r"], ["a", "b", "c"])
     gc.collect()
     assert len(syntax._NODES) <= before + 10
+
+
+def test_node_table_is_shared_across_threads():
+    # In each round the threads drop their formulas together and build the
+    # same ones again at once, while the main thread runs young-generation
+    # collections, so dead entries are dropped while equal nodes are
+    # published.  Each formula must be one object in every thread, and the
+    # table must empty of them once they are gone.
+    gc.collect()
+    before = len(syntax._NODES)
+    results = [None] * 4
+    same = []
+    step = threading.Barrier(len(results), timeout=60)
+
+    def build(slot):
+        for _ in range(3):
+            results[slot] = None
+            step.wait()
+            rng = random.Random(29)
+            results[slot] = [random_formula(rng, 5, ["p", "q", "r"], ["a", "b", "c"])
+                             for _ in range(100)]
+            step.wait()
+            same.append(all(f is g for f, g in zip(results[0], results[slot], strict=True)))
+            step.wait()
+
+    threads = [threading.Thread(target=build, args=(slot,)) for slot in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        while any(thread.is_alive() for thread in threads):
+            gc.collect(0)
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert same == [True] * 12
+    del results
+    gc.collect()
+    assert len(syntax._NODES) == before
+
+
+def test_a_late_callback_keeps_the_node_published_since():
+    # A node's entry may be replaced by a new node's before the dead one's
+    # callback runs; the callback drops only an entry whose node is dead.
+    class Gone:
+        pass
+
+    node = Atom("late_callback")
+    key = (Atom, "late_callback")
+    gone = Gone()
+    stale = syntax._Entry(gone, None)
+    stale.key = key
+    del gone
+    assert stale() is None
+    syntax._drop(stale)
+    assert syntax._NODES[key]() is node
+    live = syntax._NODES[key]
+    syntax._NODES[key] = stale
+    syntax._drop(stale)
+    assert key not in syntax._NODES
+    syntax._NODES[key] = live
+    assert Atom("late_callback") is node
