@@ -511,6 +511,11 @@ def _disjoint_union(models) -> KripkeModel:
 
 
 def _refinement_probes(ctx: EvalContext, models, atoms, coalitions) -> list:
+    """The distinct one-step local and global refinements of ``models`` by
+    each atom and negated atom, one per layer of groups
+    (``EvalContext._layers``).  A layer refines one group in each all-agents
+    component, and each component of its refined model is that group's
+    refinement, so the layers carry every per-group refinement."""
     out = []
     seen = {id(m) for m in models}
     for m in models:
@@ -520,7 +525,7 @@ def _refinement_probes(ctx: EvalContext, models, atoms, coalitions) -> list:
             for co in coalitions:
                 members = ctx._members(m, co)
                 for kind in ("local", "global"):
-                    for splits, _ in ctx._groups(m, kind, members, m._full):
+                    for splits, _ in ctx._layers(m, kind, members, m._full)[0]:
                         refined = ctx.refined(m, splits, psi)
                         if id(refined) not in seen:
                             seen.add(id(refined))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from . import syntax as sx
-from .model import KripkeModel, PointedModel, iter_bits
+from .model import KripkeModel, PointedModel, closure, iter_bits
 
 FRAGMENTS = ("propositional", "epistemic", "pal", "full")
 
@@ -36,15 +36,11 @@ def random_model(
             p: [w for w in worlds if rng.random() < 0.5] for p in atoms
         }
         model = KripkeModel.from_partitions(worlds, agents, partitions, valuation)
-        if not connected or _is_connected(model):
+        if not connected or closure(model.cells, 1) == model._full:
             return model
     # Force connectivity by coarsening the first agent's relation.
     partitions[agents[0]] = [list(worlds)]
     return KripkeModel.from_partitions(worlds, agents, partitions, valuation)
-
-
-def _is_connected(model: KripkeModel) -> bool:
-    return len(model.components(range(len(model.agents)))) == 1
 
 
 def random_pointed(rng: random.Random, model: KripkeModel) -> PointedModel:

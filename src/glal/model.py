@@ -78,6 +78,21 @@ def lowest_bit(mask: int) -> int:
     return mask & -mask
 
 
+def closure(parts, reach: int) -> int:
+    """The worlds that the mask ``reach`` reaches through the classes of
+    ``parts`` (each a sequence of disjoint world masks): the union of the
+    classes of the reflexive-transitive closure of their union that meet
+    ``reach``."""
+    while True:
+        before = reach
+        for cells in parts:
+            for cell in cells:
+                if cell & reach:
+                    reach |= cell
+        if reach == before:
+            return reach
+
+
 def in_world_order(kept: list, moved: list) -> tuple:
     """Disjoint nonempty world masks in order of their lowest world.
 
@@ -263,15 +278,7 @@ class KripkeModel:
         comps = []
         unassigned = self._full
         while unassigned:
-            comp = unassigned & -unassigned
-            changed = True
-            while changed:
-                changed = False
-                for cells in cell_lists:
-                    for cell in cells:
-                        if cell & comp and cell | comp != comp:
-                            comp |= cell
-                            changed = True
+            comp = closure(cell_lists, unassigned & -unassigned)
             comps.append(comp)
             unassigned &= ~comp
         return tuple(comps)

@@ -8,8 +8,8 @@ pointed model in that order is the witness.
 
 Each candidate is evaluated in an ``EvalContext`` of its own, dropped with
 it, so no candidate or refinement outlives its answer.  What depends on
-the cells alone (class rows, component decompositions, the cells a
-refinement cuts) is the same for every valuation of a frame, so each kept
+the cells alone (class rows, component decompositions, refinement
+layers) is the same for every valuation of a frame, so each kept
 frame gets one frame memo, which all its candidates' contexts read and
 fill and which is dropped when the frame ends.  It holds only ints and
 tuples.  Coalition positions depend only on the agents and are resolved
@@ -53,7 +53,7 @@ from itertools import islice, permutations, product
 
 from . import syntax as sx
 from .errors import BoundExceeded, FormatError, UnknownAgent
-from .model import KripkeModel, PointedModel, lowest_bit
+from .model import KripkeModel, PointedModel, closure, lowest_bit
 from .semantics import EvalContext
 
 MAX_WORLDS = 6
@@ -254,15 +254,7 @@ def _relabelings(n: int) -> tuple:
 def _connected(frame: tuple, partitions: tuple, full: int) -> bool:
     """Whether world 0 reaches all the worlds of ``full`` through the classes
     of the frame's partitions (indices into ``partitions``)."""
-    reach = 1
-    while True:
-        before = reach
-        for k in frame:
-            for cell in partitions[k]:
-                if cell & reach:
-                    reach |= cell
-        if reach == before:
-            return reach == full
+    return closure([partitions[k] for k in frame], 1) == full
 
 
 def _frame_automorphisms(frame: tuple, relabelings) -> tuple | None:

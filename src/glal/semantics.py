@@ -11,34 +11,33 @@ query (``check``, ``check_traced``) evaluates along the point's tree of
 refined models, which is local model checking; ``sat_set`` and the other
 whole-model callers pass every world.
 
-Announcement clauses sort the announced worlds into groups, and
-``EvalContext._groups`` alone decides what each group splits: one (agent
-position, scope mask) pair per coalition member, the scope being the
-member's class (local), the members' closure class (global) or the
-all-agents closure class (semi-private).  Refinements are memoized under
-those splits and the announced mask inside them, and refined models are
-structurally interned.  An announcement's groups depend only on the frame,
-the refinement kind, the coalition's positions and the announced worlds
-asked for, and its refined models on those and the announced mask inside
-the groups' scopes, never on the body: the groups are memoized per frame
-and the merged (refined model, worlds) plan per model, so ``[psi]co chi``
-costs one body evaluation per refined model for every further ``chi``.
-
-An announcement refines once per layer of groups, not once per group.
-Every scope a refinement splits at a world lies inside the world's
-all-agents component, so groups in different components split disjoint
-cells, and truth at a world depends only on the submodel the world
-generates (Blackburn, de Rijke & Venema, *Modal Logic*, 2001, §2.1).
-Layer r gathers the r-th group of each component: its refined model
-splits all their scopes at once, and each of its worlds sees its own
-component exactly as its group's refined model does.  On a model of many
+Every refinement is planned by ``EvalContext._layers``: the announcement
+clauses, ``_step`` (``glal tree``), the ``refine_*`` functions and the
+probes of ``bisim._refinement_probes`` all read it.  It sorts the worlds
+asked for into groups (``_groups``), each splitting one (agent position,
+scope mask) pair per coalition member, the scope being the member's class
+(local), the members' closure class (global) or the all-agents closure
+class (semi-private); and it sorts the groups into layers.  Every scope a
+refinement splits at a world lies inside the world's all-agents
+component, so groups in different components split disjoint cells, and
+truth at a world depends only on the submodel the world generates
+(Blackburn, de Rijke & Venema, *Modal Logic*, 2001, §2.1).  Layer r
+gathers the r-th group of each component: its refined model splits all
+their scopes at once, and each of its worlds sees its own component
+exactly as its group's refined model does.  On a model of many
 components, such as the disjoint union the distinguishing search
 evaluates on, that is one refined model per group of the busiest
-component instead of one per group.  ``_groups`` itself keeps one
-refinement per group, and so do its callers that refine at one world:
-``_step`` (``glal tree``), the ``refine_*`` functions and the probes of
-``bisim._refinement_probes``.  A pointed query at a world has one group,
-a layer of its own.
+component instead of one per group.  On one component, and at a single
+world, each group is a layer of its own.
+
+The layers depend only on the frame, the refinement kind, the
+coalition's positions and the worlds asked for, and are memoized per
+frame.  The refined models depend on those and the announced mask inside
+the layers' scopes, never on the body: each is memoized per model under
+its splits and that mask, and structurally interned, and the merged
+(refined model, worlds) plan of two or more layers is memoized per model,
+so ``[psi]co chi`` costs one body evaluation per refined model for every
+further ``chi``.
 
 Coalitions, and the agent of each ``K``, ``Kw`` and ``M`` node, resolve to
 agent positions once per agent tuple.
@@ -48,11 +47,11 @@ model, it keeps what depends on the valuation: satisfaction sets (an int
 mask once known on every world, a ``(known, set)`` pair before) and the
 interned refined and restricted models.  Per frame (a world count and the
 agents' cells), it keeps what depends on the cells alone: each agent's
-row of classes by world, component decompositions, and the cells a
-refinement cuts.  A frame memo holds only ints and tuples, never a model,
-so models over one frame can share it while each is freed with its own
-context: ``sat_bounded`` hands one frame memo to all the valuations of a
-frame.
+row of classes by world, component decompositions, and the layers of each
+refinement asked for.  A frame memo holds only ints and tuples, never a
+model, so models over one frame can share it while each is freed with its
+own context: ``sat_bounded`` hands one frame memo to all the valuations of
+a frame.
 """
 
 from __future__ import annotations
@@ -144,14 +143,13 @@ class EvalContext:
         #   None                      -> the memo of the model's frame
         self._memos: dict = {}
         # (all-worlds mask, cells) -> that frame's memo, whose keys are of
-        # four shapes, each value built from ints and tuples only:
+        # three shapes, each value built from ints and tuples only:
         #   None                      -> per agent position, per world
         #                                index, the mask of that world's class
         #   (agent position, ...)     -> component decomposition
-        #   (psi, ((k, scope), ...))  -> the cells of the split above
-        #   (kind, positions, hold)   -> (the layers _layers makes of the
-        #                                groups _groups makes of hold, the
-        #                                union of their scopes)
+        #   (kind, positions, hold)   -> the layers of a kind refinement for
+        #                                the agent positions at the worlds of
+        #                                hold, and the union of their scopes
         self._frames: dict = {}
         # (agent tuple, coalition) -> the coalition's sorted agent positions
         self._coalitions: dict = {}
@@ -226,12 +224,7 @@ class EvalContext:
     def _know(self, model, f, need):
         cells = model.cells[self._members(model, (f.agent,))[0]]
         region = need if need == model._full else _reach(cells, need)
-        sub = self.mask(model, f.sub, region)
-        out = 0
-        for cell in cells:
-            if cell & sub == cell:
-                out |= cell
-        return out
+        return _inside(cells, self.mask(model, f.sub, region))
 
     def _know_whether(self, model, f, need):
         cells = model.cells[self._members(model, (f.agent,))[0]]
@@ -247,12 +240,8 @@ class EvalContext:
     def _dual(self, model, f, need):
         cells = model.cells[self._members(model, (f.agent,))[0]]
         region = need if need == model._full else _reach(cells, need)
-        sub = self.mask(model, f.sub, region)
-        out = 0
-        for cell in cells:
-            if cell & sub:
-                out |= cell
-        return out
+        # The cells that meet the set: those not inside its complement.
+        return model._full & ~_inside(cells, ~self.mask(model, f.sub, region))
 
     def _everybody(self, model, f, need):
         full = model._full
@@ -265,22 +254,13 @@ class EvalContext:
         sub = self.mask(model, f.sub, region)
         out = full
         for cells in partitions:
-            known = 0
-            for cell in cells:
-                if cell & sub == cell:
-                    known |= cell
-            out &= known
+            out &= _inside(cells, sub)
         return out
 
     def _common(self, model, f, need):
         comps = self._components(model, self._members(model, f.coalition))
         region = need if need == model._full else _reach(comps, need)
-        sub = self.mask(model, f.sub, region)
-        out = 0
-        for comp in comps:
-            if comp & sub == comp:
-                out |= comp
-        return out
+        return _inside(comps, self.mask(model, f.sub, region))
 
     def _distributed(self, model, f, need):
         members = self._members(model, f.coalition)
@@ -309,14 +289,11 @@ class EvalContext:
 
     def _announce(self, model, f, need):
         """A local or global announcement, box or diamond.  The worlds of
-        ``need`` where the announced formula holds fall into groups of
-        worlds that split the same classes (``_groups``), and those into
-        layers, one group per all-agents component (``_layers``).  Each
-        layer is refined once, and the body is asked for once per refined
-        model, on the worlds refined to it.  The layers are memoized in
-        the frame memo, and the plan of refined models of two or more
-        layers in the model's memo; one layer's refined model is memoized
-        by ``refined`` itself."""
+        ``need`` where the announced formula holds fall into layers
+        (``_layers``), each refined once, and the body is asked for once per
+        refined model, on the worlds refined to it.  The plan of refined
+        models of two or more layers is memoized in the model's memo; one
+        layer's refined model is memoized by ``refined`` itself."""
         kind, box = _ANNOUNCE_KINDS[type(f)]
         full = model._full
         psi = self.mask(model, f.announced, need)
@@ -325,18 +302,7 @@ class EvalContext:
         if not hold:
             return out
         members = self._members(model, f.coalition)
-        frame = self._frame(model)
-        key = (kind, members, hold)
-        entry = frame.get(key)
-        if entry is None:
-            layers = self._groups(model, kind, members, hold)
-            if len(layers) > 1:
-                layers = self._layers(model, layers)
-            span = 0
-            for splits, _ in layers:
-                span |= _span(splits)
-            entry = frame[key] = (tuple(layers), span)
-        layers, span = entry
+        layers, span = self._layers(model, kind, members, hold)
         if need != full:
             # Each refinement reads the announced set on the classes it splits.
             psi = self.mask(model, f.announced, need | span)
@@ -344,7 +310,8 @@ class EvalContext:
             splits, worlds = layers[0]
             return out | self.mask(self.refined(model, splits, psi), f.sub, worlds) & worlds
         psi &= span
-        plan = self._memoized(model, key + (psi,), lambda: self._plan(model, layers, psi))
+        plan = self._memoized(model, (kind, members, hold, psi),
+                              lambda: self._plan(model, layers, psi))
         for refined, worlds in plan:
             out |= self.mask(refined, f.sub, worlds) & worlds
         return out
@@ -360,30 +327,43 @@ class EvalContext:
             asked[id(refined)] = (refined, worlds if seen is None else seen[1] | worlds)
         return tuple(asked.values())
 
-    def _layers(self, model, groups) -> list:
-        """``groups`` regrouped as (splits, worlds) layers: layer r holds the
+    def _layers(self, model, kind, members, hold) -> tuple:
+        """What a ``kind`` refinement for the agent positions ``members``
+        splits at the worlds of ``hold``: a tuple of (splits, worlds)
+        layers, and the union of the layers' scopes, memoized in the frame
+        memo.  ``_groups`` sorts the worlds into groups; layer r holds the
         r-th group of each all-agents component, splits the union of those
         groups' scopes for each agent position, and gathers their worlds.
         With one component, each group is a layer of its own."""
-        comps = self._components(model, tuple(range(len(model.agents))))
-        if len(comps) == 1:
-            return groups
-        layers = []  # [scope per member, worlds] per layer
-        depth = dict.fromkeys(comps, 0)  # component -> its groups layered so far
-        for splits, worlds in groups:
-            for comp in comps:
-                if comp & worlds:
-                    break
-            r = depth[comp]
-            depth[comp] = r + 1
-            if r == len(layers):
-                layers.append([[0] * len(splits), 0])
-            scopes, _ = layer = layers[r]
-            for j, (_, scope) in enumerate(splits):
-                scopes[j] |= scope
-            layer[1] |= worlds
-        members = [k for k, _ in groups[0][0]]
-        return [(tuple(zip(members, scopes)), worlds) for scopes, worlds in layers]
+        frame = self._frame(model)
+        key = (kind, members, hold)
+        entry = frame.get(key)
+        if entry is not None:
+            return entry
+        layers = groups = self._groups(model, kind, members, hold)
+        comps = (self._components(model, tuple(range(len(model.agents))))
+                 if len(groups) > 1 else ())
+        if len(comps) > 1:
+            layers = []  # [scope per member, worlds] per layer
+            depth = dict.fromkeys(comps, 0)  # component -> its groups layered so far
+            for splits, worlds in groups:
+                for comp in comps:
+                    if comp & worlds:
+                        break
+                r = depth[comp]
+                depth[comp] = r + 1
+                if r == len(layers):
+                    layers.append([[0] * len(members), 0])
+                scopes, _ = layer = layers[r]
+                for j, (_, scope) in enumerate(splits):
+                    scopes[j] |= scope
+                layer[1] |= worlds
+            layers = [(tuple(zip(members, scopes)), worlds) for scopes, worlds in layers]
+        span = 0
+        for splits, _ in layers:
+            span |= _span(splits)
+        entry = frame[key] = (tuple(layers), span)
+        return entry
 
     def _groups(self, model, kind, members, hold) -> list:
         """The worlds of ``hold`` as (splits, worlds) pairs by lowest world:
@@ -445,20 +425,7 @@ class EvalContext:
         ``psi``, which need only be correct on the scopes of ``splits``."""
         psi &= _span(splits)
         return self._memoized(
-            model, (psi, splits), lambda: self.intern(self._split(model, splits, psi)))
-
-    def _split(self, model, splits, psi) -> KripkeModel:
-        """``_split_model(model, splits, psi)``, its cells memoized in the
-        frame memo under ``(psi, splits)``."""
-        frame = self._frame(model)
-        cells = frame.get((psi, splits))
-        if cells is None:
-            refined = _split_model(model, splits, psi)
-            frame[psi, splits] = refined.cells
-            return refined
-        if cells == model.cells:
-            return model
-        return KripkeModel._canonical(model.worlds, model.agents, cells, model.valuation)
+            model, (psi, splits), lambda: self.intern(_split_model(model, splits, psi)))
 
     def _members(self, model, coalition) -> tuple:
         """``_positions(model, coalition)``, resolved once per agent tuple;
@@ -566,6 +533,15 @@ def _reach(parts, need: int) -> int:
     out = 0
     for part in parts:
         if part & need:
+            out |= part
+    return out
+
+
+def _inside(parts, sub: int) -> int:
+    """The union of the ``parts`` (disjoint masks) inside the mask ``sub``."""
+    out = 0
+    for part in parts:
+        if part & sub == part:
             out |= part
     return out
 
@@ -689,8 +665,7 @@ def _step(ctx: EvalContext, model: KripkeModel, i: int, f: sx.Formula) -> tuple:
         return ctx._pal_model(model, psi), key
     kind = _ANNOUNCE_KINDS[type(f)][0]
     members = ctx._members(model, f.coalition)
-    [(splits, _)] = ctx._groups(model, kind, members, 1 << i)
-    scope = _span(splits)
+    [(splits, _)], scope = ctx._layers(model, kind, members, 1 << i)
     if kind == "global":
         scope |= 1 << i  # a closure holds i, even for no agents
     psi = ctx.mask(model, f.announced, scope)
@@ -729,8 +704,8 @@ def refine_semiprivate(
 def _refine(model, world, announced, coalition, kind, context) -> KripkeModel:
     ctx = context or EvalContext()
     model = ctx.intern(model)
-    [(splits, _)] = ctx._groups(model, kind, _positions(model, coalition),
-                                1 << model.world_index(world))
+    [(splits, _)], _ = ctx._layers(model, kind, _positions(model, coalition),
+                                   1 << model.world_index(world))
     return ctx.refined(model, splits, ctx.mask(model, announced, model._full))
 
 

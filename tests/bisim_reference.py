@@ -6,11 +6,12 @@ moved to world indices and agent masks.  It runs the same deletion order,
 Reach backtracking and failure reasons, so tests require equal results.
 
 It also keeps the distinguishing-formula search that evaluates every
-candidate on each probe model in turn and generates every candidate.
+candidate on each probe model in turn and generates every candidate, with
+one refinement probe per group of worlds rather than per layer of groups.
 """
 
 from glal import syntax as sx
-from glal.bisim import KINDS, BisimResult, FailReason, _nonempty_subsets, _refinement_probes
+from glal.bisim import KINDS, BisimResult, FailReason, _nonempty_subsets
 from glal.model import KripkeModel, PointedModel
 from glal.semantics import EvalContext
 
@@ -303,6 +304,27 @@ def distinguishing_formula_search(p: PointedModel, q: PointedModel, depth: int,
             break
         layer = _applications(list(reps), agents, coalitions, announcements)
     return None
+
+
+def _refinement_probes(ctx, models, atoms, coalitions) -> list:
+    """The distinct one-step local and global refinements of ``models`` by
+    each atom and negated atom, one per group of worlds that split the same
+    classes (``EvalContext._groups``)."""
+    out = []
+    seen = {id(m) for m in models}
+    for m in models:
+        extensions = [m.atom_mask(a) for a in atoms]
+        extensions += [m._full & ~psi for psi in extensions]
+        for psi in extensions:
+            for co in coalitions:
+                members = ctx._members(m, co)
+                for kind in ("local", "global"):
+                    for splits, _ in ctx._groups(m, kind, members, m._full):
+                        refined = ctx.refined(m, splits, psi)
+                        if id(refined) not in seen:
+                            seen.add(id(refined))
+                            out.append(refined)
+    return out
 
 
 def _applications(base, agents, coalitions, announcements):

@@ -406,16 +406,30 @@ def test_distinguishing_search_stops_once_saturated():
 
 
 def test_refinement_probes_match_the_per_world_refinements():
-    # The probes are every distinct one-step local and global refinement by
-    # an atom or a negated atom, in order of first appearance when each is
-    # taken at every world in turn.
+    # The probes are the distinct one-step local and global refinements by
+    # an atom or a negated atom, one per layer of groups.  On connected
+    # models that is each refinement taken at every world in turn, in order
+    # of first appearance.  On any model, the probes refine each all-agents
+    # component exactly as the per-world refinements do, in some probe each.
     rng = random.Random(16)
     agents, atoms = ["a", "b", "c"], ["p", "q"]
+    everyone = range(len(agents))
     coalitions = [Coalition.of(*combo) for k in (1, 2, 3)
                   for combo in itertools.combinations(agents, k)]
-    found = 0
-    for _ in range(30):
+
+    def pieces(m, refined):
+        """Each all-agents component of ``m`` with its cells in each model
+        of ``refined`` that shares m's worlds and valuation."""
+        return {(comp, tuple(tuple(c for c in x.cells[k] if c & comp) for k in everyone))
+                for x in refined if (x.worlds, x.valuation) == (m.worlds, m.valuation)
+                for comp in m.components(everyone)}
+
+    found = disconnected = 0
+    for n in range(60):
         models = tuple(random_model(rng, rng.randint(1, 5), agents, atoms) for _ in range(2))
+        if n % 2:
+            extra = random_model(rng, rng.randint(1, 3), agents, atoms)
+            models = (_disjoint_union([models[0], extra]), models[1])
         expected = []
         for m in models:
             for psi in [Atom(a) for a in atoms] + [Not(Atom(a)) for a in atoms]:
@@ -427,9 +441,14 @@ def test_refinement_probes_match_the_per_world_refinements():
                                 expected.append(refined)
         ctx = EvalContext()
         probes = _refinement_probes(ctx, tuple(map(ctx.intern, models)), atoms, coalitions)
-        assert probes == expected
+        if all(len(m.components(everyone)) == 1 for m in models):
+            assert probes == expected
+        else:
+            disconnected += 1
+        for m in models:
+            assert pieces(m, (m, *probes)) == pieces(m, (m, *expected))
         found += len(probes)
-    assert found > 100
+    assert found > 200 and disconnected > 20
 
 
 def test_distinguishing_search_rejects_unknown_operator_set():

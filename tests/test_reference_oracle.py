@@ -9,6 +9,8 @@ refinements coincide across worlds with equal scope signatures.
 """
 
 import random
+from functools import reduce
+from operator import or_
 
 from glal import syntax as sx
 from glal.bisim import _disjoint_union
@@ -282,8 +284,9 @@ def test_layered_announcements_match_reference_on_partial_need():
 def test_each_layer_refines_each_component_as_its_group_does():
     # Local, global and semi-private groups alike: the layers partition the
     # groups with at most one group of an all-agents component per layer,
-    # and a layer's refined model agrees with each of its groups' refined
-    # models on every cell of that group's component.
+    # a layer's refined model agrees with each of its groups' refined models
+    # on every cell of that group's component, and the span is the union of
+    # the groups' scopes.
     rng = random.Random(2626)
     for _, union, _ in _layer_corpus(rng, 30):
         ctx = EvalContext()
@@ -294,7 +297,9 @@ def test_each_layer_refines_each_component_as_its_group_does():
             for members in ((0, 1), everyone, (2,)):
                 hold = rng.randint(1, union._full)
                 groups = ctx._groups(union, kind, members, hold)
-                layers = ctx._layers(union, groups) if len(groups) > 1 else groups
+                layers, span = ctx._layers(union, kind, members, hold)
+                scopes = (scope for splits, _ in groups for _, scope in splits)
+                assert span == reduce(or_, scopes, 0)
                 per_comp = [sum(1 for _, worlds in groups if worlds & comp) for comp in comps]
                 assert len(layers) == max(per_comp)
                 psi = rng.randint(0, union._full)

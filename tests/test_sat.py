@@ -5,7 +5,6 @@ from itertools import permutations, product
 import pytest
 
 from glal import sat as sat_module
-from glal import semantics
 from glal.errors import BoundExceeded
 from glal.fuzz import random_formula
 from glal.model import KripkeModel, PointedModel
@@ -168,13 +167,10 @@ def test_no_candidate_outlives_its_evaluation(monkeypatch):
     assert all(ref() is None for ref in refs)
 
 
-def test_no_refinement_outlives_its_candidate_when_frames_share_splits(monkeypatch):
+def test_no_refinement_outlives_its_candidate_when_candidates_share_a_frame_memo(monkeypatch):
     groups = []  # per candidate: weakrefs to it and to the models refined from it
-    changed = set()  # (candidate, id) of each refinement that split a cell
-    built = []  # splits computed rather than read from a frame memo
     real_build = sat_module._build
     real_refined = EvalContext.refined
-    real_split = semantics._split_model
 
     def recording_build(*args):
         # Only the candidate evaluated last, and its refinements, may be alive.
@@ -186,25 +182,15 @@ def test_no_refinement_outlives_its_candidate_when_frames_share_splits(monkeypat
     def recording_refined(self, model, splits, psi):
         refined = real_refined(self, model, splits, psi)
         groups[-1].append(weakref.ref(refined))
-        if refined is not model:
-            changed.add((len(groups), id(refined)))
-        return refined
-
-    def recording_split(model, splits, psi):
-        refined = real_split(model, splits, psi)
-        built.append(refined is not model)
         return refined
 
     monkeypatch.setattr(sat_module, "_build", recording_build)
     monkeypatch.setattr(EvalContext, "refined", recording_refined)
-    monkeypatch.setattr(semantics, "_split_model", recording_split)
     f = parse("[p]-{a,b} C{a,b} q & <q>+{a} (C{a,b} !p & [!p]-{b} K{b} q) & !p & !q")
     result = sat_bounded(SatQuery(f, 3, agents=("a", "b"), atoms=("p", "q")))
     assert result.status == "unsat-up-to-bound"
     assert len(groups) > 1
     assert all(ref() is None for group in groups for ref in group)
-    # Some refinements took cells another candidate of their frame had cut.
-    assert sum(built) < len(changed)
 
 
 def sat_enumerated(query):

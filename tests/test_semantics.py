@@ -587,6 +587,31 @@ def test_announcement_groups_are_found_once_whatever_the_bodies(monkeypatch):
             calls.clear()
 
 
+def test_tree_refine_and_check_share_the_groups_of_a_point(monkeypatch):
+    # check_traced, refine_* and check at one point read the same memoized
+    # layers: each (kind, positions, announced worlds) is grouped once.
+    calls = []
+    groups = EvalContext._groups
+    monkeypatch.setattr(EvalContext, "_groups",
+                        lambda self, *args: calls.append(args) or groups(self, *args))
+    m = muddy(3)
+    psi = parse("m_r | m_g")
+    point = PointedModel(m, "110")
+    hold = 1 << m.world_index("110")
+    for cls, refine, kind in ((AnnLocal, refine_local, "local"),
+                              (AnnGlobal, refine_global, "global")):
+        calls.clear()
+        f = cls(psi, Coalition.of("r", "g"), parse("K{r} m_r"))
+        ctx = EvalContext()
+        result, _ = check_traced(point, f, context=ctx)
+        refined = refine(m, "110", psi, ("r", "g"), context=ctx)
+        assert check(point, f, context=ctx) == result
+        positions = (m.agent_position("g"), m.agent_position("r"))
+        assert [args for args in calls if args[1:] == (kind, positions, hold)]
+        assert len(set(calls)) == len(calls), kind
+        assert refined is ctx.intern(refine(m, "110", psi, ("r", "g")))
+
+
 def _random_need(rng, model):
     return rng.randint(1, model._full)
 

@@ -7,9 +7,8 @@ from glal.semantics import _CLAUSES, EvalContext
 
 class UncachedContext(EvalContext):
     """Re-derives every satisfaction set, refinement, announcement plan,
-    frame-level result (class rows, component decompositions, announcement
-    groups, refined cells) and coalition,
-    and keeps no model.  It evaluates every node on every world, whatever a
+    frame-level result (class rows, component decompositions, refinement
+    layers) and coalition, and keeps no model.  It evaluates every node on every world, whatever a
     caller needs, so it is also the reference for requests that need only
     some worlds."""
 
