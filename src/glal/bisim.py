@@ -402,10 +402,27 @@ def distinguishing_formula_search(
     set is the set on probe k: one evaluation per candidate stands for one
     per probe.
 
+    A candidate's signature is computed from its children's, which are
+    representatives, and a formula node is built only for a candidate whose
+    signature is new or separates the points.  For ``!``, ``&``, ``K``,
+    ``Kw``, ``M``, ``E``, ``C`` and ``D`` the signature is a function of the
+    children's signatures and the union's partitions: the complement, the
+    AND, and the scan of the agent's cells, of each member's cells, of the
+    coalition's components or of the meet of the members' partitions that
+    the evaluator's combine makes (``EvalContext.operator``).  An
+    announcement's satisfaction set is not a function of its children's
+    sets on the union, but it is a function of the announced signature and
+    of the body's sets in the unions refined by it: the evaluator's
+    ``EvalContext.announcement`` takes the announced representative's
+    signature and the body's node, and asks for the body in the refined
+    unions through ``mask``.
+
     Candidates that provably repeat the signature of a candidate generated
     before them are never generated, so the representatives, the saturation
     stop and the returned formula are those of the full enumeration:
 
+    - an application to representatives that were all known a level
+      earlier: it was generated, and kept or dropped, at that level;
     - ``E``, ``C`` and ``D`` over one agent: each is ``K`` of that agent,
       whose class is its own closure class and meet cell;
     - ``f & g`` with ``g`` before ``f`` among the representatives, and
@@ -442,47 +459,59 @@ def distinguishing_formula_search(
     full, q_bit = union._full, len(pm.worlds) + qi
 
     seen = set()
-    reps = []  # one formula per signature, in generation order
-    layer = [sx.Atom(name) for name in atoms] + [sx.TOP, sx.BOT]
+    reps, sigs = [], []  # one formula per signature, in generation order
+    layer = [(sx.Atom, (name,)) for name in atoms] + [(sx.Top, ()), (sx.Bot, ())]
+    layer = [(cls, fields, ctx.mask(union, cls(*fields), full)) for cls, fields in layer]
     for _ in range(depth):
-        known = len(reps)
-        for f in layer:
-            sig = ctx.mask(union, f, full)
+        fresh = len(reps)
+        for cls, fields, sig in layer:
             if sig >> pi & 1 and not sig >> q_bit & 1:
+                f = cls(*fields)
                 if ctx.mask(pm, f, 1 << pi) >> pi & 1 and not ctx.mask(qm, f, 1 << qi) >> qi & 1:
                     return f
                 raise RuntimeError(f"{sx.print_formula(f)} does not distinguish the points")
             if sig not in seen:
                 seen.add(sig)
-                reps.append(f)
-        if len(reps) == known:
+                reps.append(cls(*fields))
+                sigs.append(sig)
+        if len(reps) == fresh:
             break  # saturated
-        layer = _applications(list(reps), agents, coalitions, announcements)
+        layer = _applications(list(reps), list(sigs), fresh, ctx, union,
+                              agents, coalitions, announcements)
     return None
 
 
-def _applications(base, agents, coalitions, announcements):
-    """Every operator applied to the formulas of ``base``, in search order,
-    but for the provable repeats that distinguishing_formula_search lists."""
+def _applications(base, sigs, fresh, ctx, union, agents, coalitions, announcements):
+    """Every operator applied to the representatives ``base``, whose
+    signatures on ``union`` are ``sigs``, as (node class, fields, signature)
+    triples in search order, but for the provable repeats that
+    distinguishing_formula_search lists; ``base[fresh:]`` are the
+    representatives new at the level before.  Each signature is computed
+    from the children's by the evaluator's combine or announcement code."""
+    full = union._full
     groups = [co for co in coalitions if len(co.members) > 1]
-    for f in base:
-        yield sx.Not(f)
-        for cls in sx.AGENT_OPS:
-            for a in agents:
-                yield cls(a, f)
-        for cls in sx.COALITION_OPS:
-            for co in groups:
-                yield cls(co, f)
+    labels = [(sx.Not, None)] + [(cls, a) for cls in sx.AGENT_OPS for a in agents]
+    labels += [(cls, co) for cls in sx.COALITION_OPS for co in groups]
+    unary = [(cls, () if label is None else (label,), *ctx.operator(union, cls, label))
+             for cls, label in labels]
+    for f, sig in zip(base[fresh:], sigs[fresh:]):
+        for cls, prefix, combine, parts in unary:
+            yield cls, (*prefix, f), combine(full, parts, sig)
+    combine, parts = ctx.operator(union, sx.And, None)
     for i, f in enumerate(base):
-        for g in base[i + 1:]:
-            yield sx.And(f, g)
+        for j in range(max(i + 1, fresh), len(base)):
+            yield sx.And, (f, base[j]), combine(full, parts, sigs[i], sigs[j])
     if announcements:
-        for psi in base:
-            for chi in base:
-                for co in coalitions:
-                    yield sx.AnnLocal(psi, co, chi)
-                    if len(co.members) > 1:
-                        yield sx.AnnGlobal(psi, co, chi)
+        kinds = [(co, ctx._members(union, co)) for co in coalitions]
+        for i, psi in enumerate(sigs):
+            for j in range(0 if i >= fresh else fresh, len(base)):
+                chi = base[j]
+                for co, members in kinds:
+                    yield sx.AnnLocal, (base[i], co, chi), ctx.announcement(
+                        union, "local", True, members, psi, chi, full)
+                    if len(members) > 1:
+                        yield sx.AnnGlobal, (base[i], co, chi), ctx.announcement(
+                            union, "global", True, members, psi, chi, full)
 
 
 def _disjoint_union(models) -> KripkeModel:

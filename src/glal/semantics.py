@@ -39,6 +39,19 @@ its splits and that mask, and structurally interned, and the merged
 so ``[psi]co chi`` costs one body evaluation per refined model for every
 further ``chi``.
 
+Each of ``!``, ``&``, ``K``, ``Kw``, ``M``, ``E``, ``C`` and ``D`` is a
+region and a combine.  The region of an epistemic node is the classes of
+its partitions that meet the worlds asked for: the agent's cells, each
+member's cells, the coalition's components, or the classes of the meet of
+the members' partitions (``D``).  The combine (``EvalContext.operator``)
+turns the subformulas' sets into the node's: a complement, an AND, or
+one scan of the classes of each partition.  Announcements split the same way: the
+clause evaluates the announced formula, and ``EvalContext.announcement``
+refines by the announced set and asks for the body.  The distinguishing
+search of ``bisim`` calls the combines and ``announcement`` on the
+signatures of its candidates, so it evaluates through these clauses'
+code without building a node per candidate.
+
 Coalitions, and the agent of each ``K``, ``Kw`` and ``M`` node, resolve to
 agent positions once per agent tuple.
 
@@ -47,11 +60,11 @@ model, it keeps what depends on the valuation: satisfaction sets (an int
 mask once known on every world, a ``(known, set)`` pair before) and the
 interned refined and restricted models.  Per frame (a world count and the
 agents' cells), it keeps what depends on the cells alone: each agent's
-row of classes by world, component decompositions, and the layers of each
-refinement asked for.  A frame memo holds only ints and tuples, never a
-model, so models over one frame can share it while each is freed with its
-own context: ``sat_bounded`` hands one frame memo to all the valuations of
-a frame.
+row of classes by world, component decompositions, the meet classes of
+each coalition, and the layers of each refinement asked for.  A frame
+memo holds only ints and tuples, never a model, so models over one frame
+can share it while each is freed with its own context: ``sat_bounded``
+hands one frame memo to all the valuations of a frame.
 """
 
 from __future__ import annotations
@@ -59,7 +72,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import syntax as sx
-from .errors import EmptyResult
+from .errors import EmptyResult, UnknownAgent
 from .model import KripkeModel, PointedModel, coalition_names, in_world_order, iter_bits
 
 
@@ -143,10 +156,12 @@ class EvalContext:
         #   None                      -> the memo of the model's frame
         self._memos: dict = {}
         # (all-worlds mask, cells) -> that frame's memo, whose keys are of
-        # three shapes, each value built from ints and tuples only:
+        # four shapes, each value built from ints and tuples only:
         #   None                      -> per agent position, per world
         #                                index, the mask of that world's class
         #   (agent position, ...)     -> component decomposition
+        #   ("meet", positions)       -> the classes of the meet of those
+        #                                agent positions' partitions
         #   (kind, positions, hold)   -> the layers of a kind refinement for
         #                                the agent positions at the worlds of
         #                                hold, and the union of their scopes
@@ -207,10 +222,11 @@ class EvalContext:
         return 0
 
     def _not(self, model, f, need):
-        return model._full & ~self.mask(model, f.sub, need)
+        return _negation(model._full, (), self.mask(model, f.sub, need))
 
     def _and(self, model, f, need):
-        return self.mask(model, f.left, need) & self.mask(model, f.right, need)
+        return _conjunction(model._full, (), self.mask(model, f.left, need),
+                            self.mask(model, f.right, need))
 
     def _or(self, model, f, need):
         return self.mask(model, f.left, need) | self.mask(model, f.right, need)
@@ -221,99 +237,78 @@ class EvalContext:
     def _iff(self, model, f, need):
         return model._full & ~(self.mask(model, f.left, need) ^ self.mask(model, f.right, need))
 
-    def _know(self, model, f, need):
-        cells = model.cells[self._members(model, (f.agent,))[0]]
-        region = need if need == model._full else _reach(cells, need)
-        return _inside(cells, self.mask(model, f.sub, region))
-
-    def _know_whether(self, model, f, need):
-        cells = model.cells[self._members(model, (f.agent,))[0]]
-        region = need if need == model._full else _reach(cells, need)
-        sub = self.mask(model, f.sub, region)
-        out = 0
-        for cell in cells:
-            inside = cell & sub
-            if not inside or inside == cell:
-                out |= cell
-        return out
-
-    def _dual(self, model, f, need):
-        cells = model.cells[self._members(model, (f.agent,))[0]]
-        region = need if need == model._full else _reach(cells, need)
-        # The cells that meet the set: those not inside its complement.
-        return model._full & ~_inside(cells, ~self.mask(model, f.sub, region))
-
-    def _everybody(self, model, f, need):
+    def _static(self, model, f, need):
+        """A ``K``, ``Kw``, ``M``, ``E``, ``C`` or ``D`` node: the region is
+        the classes of its partitions that meet ``need``, and its combine
+        reads the body's set there."""
+        cls = f.__class__
+        combine, parts = self.operator(model, cls, f.agent if cls in _AGENT_OPS else f.coalition)
         full = model._full
-        partitions = [model.cells[k] for k in self._members(model, f.coalition)]
-        region = need
         if need != full:
             region = 0
-            for cells in partitions:
-                region |= _reach(cells, need)
-        sub = self.mask(model, f.sub, region)
-        out = full
-        for cells in partitions:
-            out &= _inside(cells, sub)
-        return out
+            for part in parts:
+                region |= _reach(part, need)
+            need = region
+        return combine(full, parts, self.mask(model, f.sub, need))
 
-    def _common(self, model, f, need):
-        comps = self._components(model, self._members(model, f.coalition))
-        region = need if need == model._full else _reach(comps, need)
-        return _inside(comps, self.mask(model, f.sub, region))
-
-    def _distributed(self, model, f, need):
-        members = self._members(model, f.coalition)
-        if not members:
-            return self.mask(model, f.sub, need)
-        nbr = self._nbr(model)
-        rows = [nbr[k] for k in members]
-        full = model._full
-        meets = []  # (world, its class in the meet of the members' partitions)
-        for i in range(len(model.worlds)) if need == full else iter_bits(need):
-            inter = rows[0][i]
-            for row in rows[1:]:
-                inter &= row[i]
-            meets.append((i, inter))
-        region = need
-        if need != full:
-            region = 0
-            for _, inter in meets:
-                region |= inter
-        sub = self.mask(model, f.sub, region)
-        out = 0
-        for i, inter in meets:
-            if inter & sub == inter:
-                out |= 1 << i
-        return out
+    def operator(self, model, cls, label) -> tuple:
+        """(combine, partitions) of a ``!``, ``&``, ``K``, ``Kw``, ``M``,
+        ``E``, ``C`` or ``D`` node of class ``cls`` in ``model``, ``label``
+        being its agent or coalition (None for ``!`` and ``&``):
+        ``combine(model._full, partitions, *subs)`` is the node's set on
+        every world from its subformulas' sets ``subs``.  The partitions are
+        the agent's cells (``K``, ``Kw``, ``M``), each member's cells
+        (``E``), the coalition's components (``C``), the classes of the
+        meet of the members' partitions (``D``), or none."""
+        combine = _COMBINES[cls]
+        if cls in _AGENT_OPS:
+            return combine, (model.cells[self._members(model, (label,))[0]],)
+        if label is None:
+            return combine, ()
+        members = self._members(model, label)
+        if cls is sx.Everybody:
+            return combine, tuple([model.cells[k] for k in members])
+        if cls is sx.Common:
+            return combine, (self._components(model, members),)
+        return combine, (self._meet(model, members),)
 
     def _announce(self, model, f, need):
-        """A local or global announcement, box or diamond.  The worlds of
-        ``need`` where the announced formula holds fall into layers
-        (``_layers``), each refined once, and the body is asked for once per
-        refined model, on the worlds refined to it.  The plan of refined
-        models of two or more layers is memoized in the model's memo; one
-        layer's refined model is memoized by ``refined`` itself."""
+        """A local or global announcement, box or diamond: the announced
+        set, asked for on ``need`` and then on the scopes of the layers of
+        the worlds where it holds, is handed to ``announcement``."""
         kind, box = _ANNOUNCE_KINDS[type(f)]
-        full = model._full
+        members = self._members(model, f.coalition)
         psi = self.mask(model, f.announced, need)
-        out = full & ~psi if box else 0
+        hold = psi & need
+        if hold and need != model._full:
+            # Each refinement reads the announced set on the classes it splits.
+            span = self._layers(model, kind, members, hold)[1]
+            psi = self.mask(model, f.announced, need | span)
+        return self.announcement(model, kind, box, members, psi, f.sub, need)
+
+    def announcement(self, model, kind, box, members, psi, body, need) -> int:
+        """The set, correct on ``need``, of a ``kind`` announcement (a box
+        or a diamond) to the agent positions ``members`` with the formula
+        node ``body``, the announced set being ``psi``, correct on ``need``
+        and on the scopes of the layers of the worlds of ``need`` where it
+        holds.  Those worlds fall into layers (``_layers``), each refined
+        once, and the body is asked for once per refined model, on the
+        worlds refined to it.  The plan of refined models of two or more
+        layers is memoized in the model's memo; one layer's refined model
+        is memoized by ``refined`` itself."""
+        out = model._full & ~psi if box else 0
         hold = psi & need
         if not hold:
             return out
-        members = self._members(model, f.coalition)
         layers, span = self._layers(model, kind, members, hold)
-        if need != full:
-            # Each refinement reads the announced set on the classes it splits.
-            psi = self.mask(model, f.announced, need | span)
         if len(layers) == 1:
             splits, worlds = layers[0]
-            return out | self.mask(self.refined(model, splits, psi), f.sub, worlds) & worlds
+            return out | self.mask(self.refined(model, splits, psi), body, worlds) & worlds
         psi &= span
         plan = self._memoized(model, (kind, members, hold, psi),
                               lambda: self._plan(model, layers, psi))
         for refined, worlds in plan:
-            out |= self.mask(refined, f.sub, worlds) & worlds
+            out |= self.mask(refined, body, worlds) & worlds
         return out
 
     def _plan(self, model, layers, psi) -> tuple:
@@ -464,6 +459,26 @@ class EvalContext:
             comps = frame[positions] = model.components(positions)
         return comps
 
+    def _meet(self, model, members) -> tuple:
+        """The classes of the meet of the partitions of the agent positions
+        ``members`` (singletons for none), by lowest world, memoized in the
+        frame memo."""
+        frame = self._frame(model)
+        key = ("meet", members)
+        meet = frame.get(key)
+        if meet is None:
+            rows = [self._nbr(model)[k] for k in members]
+            meet, rest = [], model._full
+            while rest:
+                low = rest & -rest
+                cell = rest if rows else low
+                for row in rows:
+                    cell &= row[low.bit_length() - 1]
+                meet.append(cell)
+                rest &= ~cell
+            meet = frame[key] = tuple(meet)
+        return meet
+
     def _nbr(self, model) -> tuple:
         """Per agent position, per world index, the mask of that world's
         class, memoized in the frame memo."""
@@ -492,18 +507,20 @@ _CLAUSES = {
     sx.Or: EvalContext._or,
     sx.Implies: EvalContext._implies,
     sx.Iff: EvalContext._iff,
-    sx.Know: EvalContext._know,
-    sx.KnowWhether: EvalContext._know_whether,
-    sx.Dual: EvalContext._dual,
-    sx.Everybody: EvalContext._everybody,
-    sx.Common: EvalContext._common,
-    sx.Distributed: EvalContext._distributed,
+    sx.Know: EvalContext._static,
+    sx.KnowWhether: EvalContext._static,
+    sx.Dual: EvalContext._static,
+    sx.Everybody: EvalContext._static,
+    sx.Common: EvalContext._static,
+    sx.Distributed: EvalContext._static,
     sx.AnnLocal: EvalContext._announce,
     sx.AnnGlobal: EvalContext._announce,
     sx.DiaLocal: EvalContext._announce,
     sx.DiaGlobal: EvalContext._announce,
     sx.PalAnn: EvalContext._pal,
 }
+
+_AGENT_OPS = sx.AGENT_OPS
 
 # Announcement node class -> (refinement kind, whether it is a box).
 _ANNOUNCE_KINDS = {
@@ -512,6 +529,55 @@ _ANNOUNCE_KINDS = {
     sx.DiaLocal: ("local", False),
     sx.DiaGlobal: ("global", False),
 }
+
+
+# A static node's combine: combine(full, parts, *subs) is the node's set, on
+# a model whose all-worlds mask is full, from the sets subs of its
+# subformulas and the partitions parts that EvalContext.operator gives it.
+# It is correct at each world where subs is correct on the world's class in
+# every partition (for ``!`` and ``&``, at the world itself).
+
+
+def _negation(full, parts, sub):
+    return full & ~sub
+
+
+def _conjunction(full, parts, left, right):
+    return left & right
+
+
+def _box(full, parts, sub):
+    """``K``, ``C``, ``D``: the worlds whose class lies inside ``sub``."""
+    return _inside(parts[0], sub)
+
+
+def _every(full, parts, sub):
+    """``E``: the worlds whose class in each partition lies inside ``sub``."""
+    out = full
+    for part in parts:
+        out &= _inside(part, sub)
+    return out
+
+
+def _diamond(full, parts, sub):
+    """``M``: the worlds whose class meets ``sub``, that is, is not inside
+    its complement."""
+    return full & ~_inside(parts[0], ~sub)
+
+
+def _decided(full, parts, sub):
+    """``Kw``: the worlds whose class lies inside ``sub`` or inside its
+    complement."""
+    out = 0
+    for cell in parts[0]:
+        inside = cell & sub
+        if not inside or inside == cell:
+            out |= cell
+    return out
+
+
+_COMBINES = {sx.Not: _negation, sx.And: _conjunction, sx.Know: _box, sx.KnowWhether: _decided,
+             sx.Dual: _diamond, sx.Everybody: _every, sx.Common: _box, sx.Distributed: _box}
 
 
 def _positions(model: KripkeModel, coalition) -> tuple:
@@ -612,8 +678,18 @@ def _restrict_model(model: KripkeModel, keep: int) -> KripkeModel:
 # ---------------------------------------------------------------------------
 
 
+def _check_agents(model: KripkeModel, f: sx.Formula) -> None:
+    """Raise ``UnknownAgent`` for the least agent that ``f`` names and
+    ``model`` lacks.  Checked before evaluating, since an agent under a
+    vacuous announcement is never resolved."""
+    missing = f._agents.difference(model.agents)
+    if missing:
+        raise UnknownAgent(f"unknown agent {min(missing)!r}")
+
+
 def sat_set(model: KripkeModel, f: sx.Formula, *, context: EvalContext | None = None) -> frozenset:
     """The set of worlds satisfying ``f``."""
+    _check_agents(model, f)
     ctx = context or EvalContext()
     model = ctx.intern(model)
     return model.world_names(ctx.mask(model, f, model._full))
@@ -621,6 +697,7 @@ def sat_set(model: KripkeModel, f: sx.Formula, *, context: EvalContext | None = 
 
 def check(pointed: PointedModel, f: sx.Formula, *, context: EvalContext | None = None) -> bool:
     """Pointed model checking: does the designated world satisfy ``f``?"""
+    _check_agents(pointed.model, f)
     ctx = context or EvalContext()
     model = ctx.intern(pointed.model)
     point = 1 << model.world_index(pointed.point)
@@ -631,6 +708,7 @@ def check_traced(
     pointed: PointedModel, f: sx.Formula, *, context: EvalContext | None = None
 ) -> tuple:
     """Like check(), also returning the tree of refinements applied at the point."""
+    _check_agents(pointed.model, f)
     ctx = context or EvalContext()
     model = ctx.intern(pointed.model)
     steps = _trace(ctx, model, pointed.point, f)
@@ -702,6 +780,7 @@ def refine_semiprivate(
 
 
 def _refine(model, world, announced, coalition, kind, context) -> KripkeModel:
+    _check_agents(model, announced)
     ctx = context or EvalContext()
     model = ctx.intern(model)
     [(splits, _)], _ = ctx._layers(model, kind, _positions(model, coalition),
@@ -713,6 +792,7 @@ def refine_pal(
     model: KripkeModel, announced: sx.Formula, *, context: EvalContext | None = None
 ) -> KripkeModel:
     """Restrict the model to the worlds satisfying the announced formula."""
+    _check_agents(model, announced)
     ctx = context or EvalContext()
     model = ctx.intern(model)
     psi = ctx.mask(model, announced, model._full)

@@ -43,11 +43,13 @@ with ``_node``, so ``dataclass`` generates none of their methods:
 construction, frozenness (``__setattr__`` and ``__delattr__`` raise
 ``FrozenInstanceError``) and ``repr`` live once on ``Formula``, which keeps
 importing this module cheap.
-A new node also stores its depth, which is not a field, so ``depth`` costs
-O(1).  A node class needs a docstring, or ``dataclass`` computes one from
-``inspect.signature``, which costs more than the rest of the class.  A new
-operator needs its node class, a printer clause and an evaluator clause (an
-entry of ``semantics._CLAUSES``), and a parser rule: a binary connective is
+A new node also stores its depth and the agents it names, which are not
+fields, so ``depth`` and ``agents`` cost O(1).  A node class needs a
+docstring, or ``dataclass`` computes one from ``inspect.signature``,
+which costs more than the rest of the class.  A new operator needs its
+node class, a printer clause and an evaluator clause (an entry of
+``semantics._CLAUSES``, and of ``semantics._COMBINES`` for an epistemic
+one read through partitions), and a parser rule: a binary connective is
 one more row of ``_BINARY_LEVELS`` (and its glyph in ``_TOKEN`` if new), an
 epistemic one an entry of ``_AGENT_HEADS`` or ``_COALITION_HEADS``.  A
 derived one also needs an ``expand_derived`` clause.  The formula generators
@@ -107,8 +109,9 @@ class Formula:
     node's fields by position or by name, returns the one live node of that
     class with those field values.  So ``==`` and ``hash`` are identity.
     Assigning or deleting an attribute raises ``FrozenInstanceError``.  A
-    new node stores its depth (1 + its deepest subformula's) in ``_depth``,
-    which is not a field.
+    new node stores its depth (1 + its deepest subformula's) in ``_depth``
+    and the agents it names in ``_agents`` (one shared empty frozenset for
+    a node that names none), which are not fields.
     """
 
     __slots__ = ()
@@ -127,14 +130,28 @@ class Formula:
             node = super().__new__(cls)
             values = node.__dict__
             values.update(zip(names, args))
+            subformulas, label = _SHAPES[cls]
             deepest = 0
-            for name in _SUBFORMULAS[cls]:
+            named = _NO_AGENTS
+            for name in subformulas:
                 sub = values[name]
                 if not isinstance(sub, Formula):
                     raise TypeError(f"{cls.__name__}.{name} must be a formula node, not {sub!r}")
                 if sub._depth > deepest:
                     deepest = sub._depth
+                theirs = sub._agents
+                if theirs and theirs is not named:
+                    named = named | theirs if named else theirs
+            if label == "agent":
+                agent = values["agent"]
+                if agent not in named:
+                    named = named | {agent} if named else frozenset((agent,))
+            elif label and not values["coalition"].everyone:
+                theirs = values["coalition"].members
+                if not theirs <= named:
+                    named = named | theirs if named else theirs
             values["_depth"] = deepest + 1
+            values["_agents"] = named
             with _NODES_LOCK:  # publish only a complete node, and only one per key
                 ref = _NODES.get(key)
                 live = None if ref is None else ref()
@@ -349,6 +366,14 @@ _SUBFORMULAS = {
     for cls in _FIELDS
 }
 
+# ``_agents`` of a node that names no agent.
+_NO_AGENTS = frozenset()
+# Node class -> its subformula fields, and the field holding its agent or
+# its coalition ("agent", "coalition" or None).
+_SHAPES = {cls: (_SUBFORMULAS[cls], "agent" if "agent" in names else
+                 "coalition" if "coalition" in names else None)
+           for cls, names in _FIELDS.items()}
+
 TOP = Top()
 BOT = Bot()
 
@@ -401,20 +426,9 @@ def atoms(f: Formula) -> frozenset:
 
 
 def agents(f: Formula) -> frozenset:
-    """Agent names mentioned by the formula (the placeholder adds none)."""
-    out = set()
-
-    def walk(g):
-        if isinstance(g, AGENT_OPS):
-            out.add(g.agent)
-        elif isinstance(g, COALITION_OPS + ANNOUNCE_OPS):
-            if not g.coalition.everyone:
-                out.update(g.coalition.members)
-        for c in children(g):
-            walk(c)
-
-    walk(f)
-    return frozenset(out)
+    """Agent names mentioned by the formula (the placeholder adds none),
+    stored on each node."""
+    return f._agents
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from glal.model import KripkeModel, PointedModel
 from glal.semantics import EvalContext, check, refine_global, refine_local
 from glal.scenarios import bit_channel, muddy
 from glal.syntax import (
-    ANNOUNCE_OPS, COALITION_OPS, EVERYONE, Atom, Coalition, Not, PalAnn, _rebuild, children,
-    depth, print_formula,
+    AGENT_OPS, ANNOUNCE_OPS, COALITION_OPS, EVERYONE, And, AnnGlobal, AnnLocal, Atom, Coalition,
+    Not, PalAnn, _rebuild, children, depth, print_formula,
 )
 
 
@@ -302,6 +302,35 @@ def test_search_matches_per_probe_reference(monkeypatch):
         assert found.get((operators, None), 0) >= 10
         assert found.get((operators, 2), 0) >= 10
     assert found.get(("all", 3), 0) + found.get(("epistemic", 3), 0) >= 3
+
+
+def test_search_signatures_are_the_satisfaction_sets_of_their_nodes(monkeypatch):
+    # The search works out each candidate's signature from its children's and
+    # builds few nodes: built here, every candidate's node must have that
+    # signature as its satisfaction set on the union, asked of a context of
+    # its own.  Each pair is searched as it comes and, with the bisimulation
+    # shortcut off, from its left point to itself: nothing separates a point
+    # from itself, so every level runs, up to the bound or saturation.
+    applications = glal_bisim._applications
+    counts = dict.fromkeys((Not, And, *AGENT_OPS, *COALITION_OPS, AnnLocal, AnnGlobal), 0)
+
+    def checked(base, sigs, fresh, ctx, union, *args):
+        reference_ctx = EvalContext()
+        for cls, fields, sig in applications(base, sigs, fresh, ctx, union, *args):
+            node = cls(*fields)
+            assert sig == reference_ctx.mask(union, node, union._full), print_formula(node)
+            counts[cls] += 1
+            yield cls, fields, sig
+
+    monkeypatch.setattr(glal_bisim, "_applications", checked)
+    pairs = list(search_pairs(random.Random(20), 150))
+    for p, q, operators, bound in pairs:
+        distinguishing_formula_search(p, q, bound, operators)
+    monkeypatch.setattr(glal_bisim, "pointed_bisim",
+                        lambda p, q, kind: glal_bisim.BisimResult(False, kind))
+    for p, _, operators, bound in pairs:
+        assert distinguishing_formula_search(p, p, bound, operators) is None
+    assert min(counts.values()) >= 100, counts
 
 
 def test_search_rechecks_its_formula_on_the_points(monkeypatch):

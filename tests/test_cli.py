@@ -51,6 +51,17 @@ def test_check_bad_world_is_model_error(capsys, muddy3):
     assert "missing" in err
 
 
+def test_check_unknown_agent_under_a_vacuous_announcement(capsys, muddy3):
+    # m_r is false at 000, so these announcements never reach their bodies
+    # there, yet K{zz} names an agent the model lacks: an error at both points.
+    for formula in ("[m_r]+{r} K{zz} m_r", "[m_r] K{zz} m_r", "<m_r>-{r} K{zz} m_r"):
+        for point in ("000", "100"):
+            for command in ("check", "tree"):
+                code, out, err = run(capsys, command, f"{muddy3}:{point}", formula)
+                assert (code, out) == (66, ""), (command, point, formula)
+                assert "unknown agent 'zz'" in err
+
+
 def test_check_formula_error(capsys, muddy3):
     code, _, err = run(capsys, "check", f"{muddy3}:100", "K{r")
     assert code == 65
