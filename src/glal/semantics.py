@@ -44,13 +44,13 @@ region and a combine.  The region of an epistemic node is the classes of
 its partitions that meet the worlds asked for: the agent's cells, each
 member's cells, the coalition's components, or the classes of the meet of
 the members' partitions (``D``).  The combine (``EvalContext.operator``)
-turns the subformulas' sets into the node's: a complement, an AND, or
-one scan of the classes of each partition.  Announcements split the same way: the
-clause evaluates the announced formula, and ``EvalContext.announcement``
-refines by the announced set and asks for the body.  The distinguishing
-search of ``bisim`` calls the combines and ``announcement`` on the
-signatures of its candidates, so it evaluates through these clauses'
-code without building a node per candidate.
+turns the subformulas' sets into the node's: a complement, an AND, or one
+scan of the classes of each partition.  Announcements split the same
+way: the clause evaluates the announced formula, and
+``EvalContext.announcement`` refines by the announced set and asks for
+the body.  The distinguishing search of ``bisim`` calls the combines and
+``announcement`` on the signatures of its candidates, so it evaluates
+through these clauses' code without building a node per candidate.
 
 Coalitions, and the agent of each ``K``, ``Kw`` and ``M`` node, resolve to
 agent positions once per agent tuple.
