@@ -60,6 +60,11 @@ def test_check_unknown_agent_under_a_vacuous_announcement(capsys, muddy3):
                 code, out, err = run(capsys, command, f"{muddy3}:{point}", formula)
                 assert (code, out) == (66, ""), (command, point, formula)
                 assert "unknown agent 'zz'" in err
+    # So is an announcement that names one where it holds nowhere.
+    for kind in ("local", "pal"):
+        code, out, err = run(capsys, "refine", "--kind", kind, "--coalition", "r", "--announce",
+                             "[m_r & !m_r]+{r} K{zz} m_r", f"{muddy3}:000")
+        assert (code, out) == (66, "") and "unknown agent 'zz'" in err
 
 
 def test_check_formula_error(capsys, muddy3):
