@@ -459,7 +459,7 @@ def distinguishing_formula_search(
     full, q_bit = union._full, len(pm.worlds) + qi
 
     seen = set()
-    reps, sigs = [], []  # one formula per signature, in generation order
+    reps, sigs = [], []  # one formula per signature, in generation order, and its signature
     layer = [(sx.Atom, (name,)) for name in atoms] + [(sx.Top, ()), (sx.Bot, ())]
     layer = [(cls, fields, ctx.mask(union, cls(*fields), full)) for cls, fields in layer]
     for _ in range(depth):
@@ -502,11 +502,11 @@ def _applications(base, sigs, fresh, ctx, union, agents, coalitions, announcemen
         for j in range(max(i + 1, fresh), len(base)):
             yield sx.And, (f, base[j]), combine(full, parts, sigs[i], sigs[j])
     if announcements:
-        kinds = [(co, ctx._members(union, co)) for co in coalitions]
+        resolved = [(co, ctx._members(union, co)) for co in coalitions]
         for i, psi in enumerate(sigs):
             for j in range(0 if i >= fresh else fresh, len(base)):
                 chi = base[j]
-                for co, members in kinds:
+                for co, members in resolved:
                     yield sx.AnnLocal, (base[i], co, chi), ctx.announcement(
                         union, "local", True, members, psi, chi, full)
                     if len(members) > 1:
